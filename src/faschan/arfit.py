@@ -33,6 +33,11 @@ TIE_TOL = 1e-4
 _RESID_LIMIT = 1e-8
 # lags matched per model order by the aperture-window fit
 _WINDOW_FACTOR = 2
+# unit_noise_gain grid: at least this many e-folds of the slowest root's
+# decay per grid length, within [_GRID_MIN, _GRID_MAX] points
+_GRID_DECAYS = 40
+_GRID_MIN = 1 << 12
+_GRID_MAX = 1 << 21
 
 _REF_BRANCH = 0
 _CANDIDATE_BRANCH = 1
@@ -115,12 +120,42 @@ def yule_walker_fit(lags) -> ArpModel:
     return ArpModel(alpha=alpha, sigma_eps2=max(sigma_eps2, 0.0), p=p, source_lags=lags)
 
 
-def unit_noise_gain(alpha: np.ndarray, nfft: int = 1 << 21) -> float:
+def _root_moduli(alpha: np.ndarray) -> np.ndarray:
+    """Moduli of the p roots of 1 - sum_i alpha_i z^-i, largest first."""
+    alpha = np.asarray(alpha)
+    moduli = np.sort(np.abs(np.roots(np.concatenate([[1.0 + 0.0j], -alpha]))))[::-1]
+    if moduli.size < alpha.size:  # trailing zero coefficients drop roots at the origin
+        moduli = np.concatenate([moduli, np.zeros(alpha.size - moduli.size)])
+    return moduli
+
+
+def _gain_grid_size(alpha: np.ndarray) -> int:
+    """FFT length for unit_noise_gain: the smallest power of two >= 40 / margin.
+
+    Clamped to [2^12, 2^21]; a margin <= 0 (a root on or outside the unit
+    circle) gets the largest grid.
+    """
+    moduli = _root_moduli(alpha)
+    margin = 1.0 - float(moduli[0]) if moduli.size else 1.0
+    if not margin > 0.0:
+        return _GRID_MAX
+    needed = int(np.ceil(_GRID_DECAYS / margin))
+    return int(min(max(1 << (needed - 1).bit_length(), _GRID_MIN), _GRID_MAX))
+
+
+def unit_noise_gain(alpha: np.ndarray) -> float:
     """Stationary per-sample variance of the AR filter driven by unit white noise.
 
-    Evaluates (1/2pi) integral dw / |A(e^{jw})|^2 on a dense FFT grid; the
-    grid resolves spectral peaks down to root moduli of roughly 1 - 1e-5.
+    Evaluates (1/2pi) integral dw / |A(e^{jw})|^2 as the mean over an nfft-point
+    FFT grid.  That mean is exactly the sum of the filter's unit-noise
+    autocorrelation at lags 0, +-nfft, +-2 nfft, ..., so it overshoots the
+    true gain only by the aliased lags, which decay like (1 - margin)^nfft
+    for root margin 1 - max|root|.  The grid is sized from the margin:
+    nfft is the smallest power of two >= 40 / margin, so that decay factor
+    is below e^-40 and the grid mean is as exact as round-off allows.  It is
+    clamped to [2^12, 2^21], and margins <= 0 use 2^21.
     """
+    nfft = _gain_grid_size(alpha)
     transfer = np.fft.fft(np.concatenate([[1.0 + 0.0j], -np.asarray(alpha)]), n=nfft)
     return float(np.mean(1.0 / np.abs(transfer) ** 2))
 
@@ -154,10 +189,7 @@ def fit_clarke_model(model: ClarkeModel, p: int, window_factor: int = _WINDOW_FA
 
 def check_stability(model: ArpModel) -> StabilityReport:
     """Moduli of the roots of 1 - sum_i alpha_i z^-i, and the stability verdict."""
-    coeffs = np.concatenate([[1.0 + 0.0j], -model.alpha])
-    moduli = np.sort(np.abs(np.roots(coeffs)))[::-1]
-    if moduli.size < model.p:  # trailing zero coefficients drop roots at the origin
-        moduli = np.concatenate([moduli, np.zeros(model.p - moduli.size)])
+    moduli = _root_moduli(model.alpha)
     worst = float(moduli[0]) if moduli.size else 0.0
     return StabilityReport(root_moduli=moduli, stable=worst < 1.0 - DELTA_STAB, margin=1.0 - worst)
 

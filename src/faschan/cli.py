@@ -29,6 +29,20 @@ from .stats import max_gain
 
 _STRATEGIES = ("random", "uniform_endpoints", "uniform_interior")
 
+# built-in values, filled in after --config for parameters still unset;
+# argparse leaves every parameter None so the config can tell "absent" apart
+_COMMON_DEFAULTS = {"seed": 0, "out": "-", "no_meta": False, "sigma2": 1.0}
+_SELECTION_DEFAULTS = {"mc": 30_000, "burn": 5}
+_COMMAND_DEFAULTS = {
+    "fit": _SELECTION_DEFAULTS,
+    "select-order": _SELECTION_DEFAULTS,
+    "generate": {"burn": 5},
+    "cdf": {**_SELECTION_DEFAULTS, "J": 10_000, "ess_ratio": 0.5, "t_quantile_grid": 40},
+    "interpolate": {**_SELECTION_DEFAULTS, "sigma_v2": 0.0},
+    "bench": {"trials": 100, "sigma_v2": 0.0, "strategies": ",".join(_STRATEGIES)},
+    "bound": {**_SELECTION_DEFAULTS, "trials": 500, "strategy": "uniform_endpoints"},
+}
+
 
 def max_workers() -> int:
     """Worker cap for internal fan-out: min(cpu count, FAS_THREADS if set)."""
@@ -84,17 +98,19 @@ def _write_text(path: str, text: str):
 # shared parameter plumbing
 
 def _merge_config(args):
-    """Fill argparse Namespace gaps from the --config JSON file."""
-    if not getattr(args, "config", None):
-        return
-    with open(args.config, encoding="utf-8") as fh:
-        values = json.load(fh)
-    if not isinstance(values, dict):
-        raise ValueError("--config must hold a JSON object")
-    for key, value in values.items():
-        attr = key.replace("-", "_")
-        if not hasattr(args, attr):
-            raise ValueError(f"unknown config key {key!r}")
+    """Fill argparse Namespace gaps from the --config JSON file, then from built-ins."""
+    if getattr(args, "config", None):
+        with open(args.config, encoding="utf-8") as fh:
+            values = json.load(fh)
+        if not isinstance(values, dict):
+            raise ValueError("--config must hold a JSON object")
+        for key, value in values.items():
+            attr = key.replace("-", "_")
+            if not hasattr(args, attr):
+                raise ValueError(f"unknown config key {key!r}")
+            if getattr(args, attr) is None:
+                setattr(args, attr, value)
+    for attr, value in {**_COMMON_DEFAULTS, **_COMMAND_DEFAULTS[args.command]}.items():
         if getattr(args, attr) is None:
             setattr(args, attr, value)
 
@@ -106,23 +122,28 @@ def _require(args, names):
 
 
 def _clarke(args) -> correlation.ClarkeModel:
-    return correlation.ClarkeModel(W=float(args.W), N=int(args.N), sigma2=float(args.sigma2 or 1.0))
+    return correlation.ClarkeModel(W=float(args.W), N=int(args.N), sigma2=float(args.sigma2))
 
 
-def _fit_model(args, model) -> arfit.ArpModel:
+def _select_order(args, model) -> arfit.OrderSelectionResult:
+    return arfit.select_order(
+        model,
+        p_max=int(args.p_max),
+        mc_samples=int(args.mc),
+        burn_in_factor=int(args.burn),
+        seed=int(args.seed),
+        workers=max_workers(),
+    )
+
+
+def _fit_model(args, model) -> "tuple[arfit.ArpModel, arfit.OrderSelectionResult | None]":
+    """The surrogate at --p, or at the order selected up to --p-max (with its selection)."""
     if args.p is not None:
-        return arfit.fit_clarke_model(model, int(args.p))
-    if args.p_max is not None:
-        selection = arfit.select_order(
-            model,
-            p_max=int(args.p_max),
-            mc_samples=int(args.mc or 30_000),
-            burn_in_factor=int(args.burn or 5),
-            seed=int(args.seed),
-            workers=max_workers(),
-        )
-        return arfit.fit_clarke_model(model, selection.p_star)
-    raise ValueError("either --p or --p-max is required")
+        return arfit.fit_clarke_model(model, int(args.p)), None
+    if args.p_max is None:
+        raise ValueError("either --p or --p-max is required")
+    selection = _select_order(args, model)
+    return arfit.fit_clarke_model(model, selection.p_star), selection
 
 
 def _int_list(text) -> list[int]:
@@ -136,11 +157,12 @@ def _float_list(text) -> list[float]:
 def _threshold_grid(args, model, seed) -> np.ndarray:
     if args.t_grid:
         start, stop, count = str(args.t_grid).split(":")
-        grid = np.linspace(float(start), float(stop), int(count))
         if int(count) < 1:
             raise ValueError("--t-grid count must be >= 1")
-        return grid
-    count = int(args.t_quantile_grid or 40)
+        return np.linspace(float(start), float(stop), int(count))
+    count = int(args.t_quantile_grid)
+    if count < 1:
+        raise ValueError("--t-quantile-grid must be >= 1")
     pilot_n = 4000
     spectrum = correlation.eigen_spectrum(correlation.build_covariance(model))
     gains = max_gain(correlation.sample_exact(spectrum, derive(seed, 90), pilot_n))
@@ -158,22 +180,7 @@ def _lag_prior(model: arfit.ArpModel) -> np.ndarray:
 
 def cmd_fit(args) -> int:
     _require(args, ["W", "N"])
-    model = _clarke(args)
-    selection = None
-    if args.p is None:
-        _require(args, ["p_max"])
-        selection = arfit.select_order(
-            model,
-            p_max=int(args.p_max),
-            mc_samples=int(args.mc or 30_000),
-            burn_in_factor=int(args.burn or 5),
-            seed=int(args.seed),
-            workers=max_workers(),
-        )
-        p = selection.p_star
-    else:
-        p = int(args.p)
-    fitted = arfit.fit_clarke_model(model, p)
+    fitted, selection = _fit_model(args, _clarke(args))
     report = {
         "p": fitted.p,
         "alpha": [[float(a.real), float(a.imag)] for a in fitted.alpha],
@@ -190,15 +197,7 @@ def cmd_fit(args) -> int:
 
 def cmd_select_order(args) -> int:
     _require(args, ["W", "N", "p_max"])
-    model = _clarke(args)
-    selection = arfit.select_order(
-        model,
-        p_max=int(args.p_max),
-        mc_samples=int(args.mc or 30_000),
-        burn_in_factor=int(args.burn or 5),
-        seed=int(args.seed),
-        workers=max_workers(),
-    )
+    selection = _select_order(args, _clarke(args))
     if args.format == "csv":
         rows = [(p, selection.distances[p]) for p in sorted(selection.distances)]
         _write_csv(args, ["p", "ks_distance"], rows)
@@ -220,7 +219,7 @@ def cmd_generate(args) -> int:
     model = _clarke(args)
     fitted = arfit.fit_clarke_model(model, int(args.p))
     config = generator.SimulationConfig(
-        N=model.N, B=int(args.burn or 5) * model.N, seed=int(args.seed)
+        N=model.N, B=int(args.burn) * model.N, seed=int(args.seed)
     )
     batch = generator.simulate_batch(fitted, config, int(args.count))
     rows = [
@@ -237,9 +236,9 @@ def cmd_cdf(args) -> int:
     model = _clarke(args)
     orders = _int_list(args.p)
     seed = int(args.seed)
-    mc = int(args.mc or 30_000)
-    j_particles = int(args.J or 10_000)
-    burn = int(args.burn or 5)
+    mc = int(args.mc)
+    j_particles = int(args.J)
+    burn = int(args.burn)
     grid = _threshold_grid(args, model, seed)
     spectrum = correlation.eigen_spectrum(correlation.build_covariance(model))
     exact = selection_gain.empirical_cdf_max_gain(
@@ -257,7 +256,7 @@ def cmd_cdf(args) -> int:
             model.N,
             grid,
             J=j_particles,
-            ess_ratio=float(args.ess_ratio or 0.5),
+            ess_ratio=float(args.ess_ratio),
             seed=derive(seed, 2, p),
             burn_in_factor=burn,
             workers=max_workers(),
@@ -294,13 +293,13 @@ def cmd_interpolate(args) -> int:
         raise ValueError(f"M must be in [1, N], got {args.M}")
     if args.strategy not in _STRATEGIES:
         raise ValueError(f"strategy must be one of {_STRATEGIES}")
-    fitted = _fit_model(args, model)
+    fitted, _ = _fit_model(args, model)
     seed = int(args.seed)
     cov = correlation.build_covariance(model)
     spectrum = correlation.eigen_spectrum(cov)
     truth = correlation.sample_exact(spectrum, derive(seed, 0), 1)[0]
     indices = interpolation.port_select(args.strategy, model.N, int(args.M), derive(seed, 1))
-    sigma_v2 = float(args.sigma_v2 or 0.0)
+    sigma_v2 = float(args.sigma_v2)
     obs, oracle, kalman, _, _ = _reconstruction_pair(
         cov,
         interpolation.build_state_space(fitted),
@@ -352,16 +351,16 @@ def cmd_bench(args) -> int:
     if args.ratio is None and args.M is None:
         raise ValueError("either --ratio or --M is required")
     sizes = _int_list(args.N)
-    strategies = [s.strip() for s in str(args.strategies or ",".join(_STRATEGIES)).split(",")]
+    strategies = [s.strip() for s in str(args.strategies).split(",")]
     for s in strategies:
         if s not in _STRATEGIES:
             raise ValueError(f"strategy must be one of {_STRATEGIES}, got {s!r}")
-    trials = int(args.trials or 100)
-    sigma_v2 = float(args.sigma_v2 or 0.0)
+    trials = int(args.trials)
+    sigma_v2 = float(args.sigma_v2)
     seed = int(args.seed)
     rows = []
     for n in sizes:
-        model = correlation.ClarkeModel(W=float(args.W), N=n, sigma2=float(args.sigma2 or 1.0))
+        model = correlation.ClarkeModel(W=float(args.W), N=n, sigma2=float(args.sigma2))
         m_obs = int(args.M) if args.M is not None else max(2, round(float(args.ratio) * n))
         if m_obs > n:
             raise ValueError(f"M={m_obs} exceeds N={n}")
@@ -414,14 +413,16 @@ def cmd_bound(args) -> int:
     _require(args, ["W", "N", "eps"])
     model = _clarke(args)
     epsilons = _float_list(args.eps)
-    trials = int(args.trials or 500)
-    strategy = args.strategy or "uniform_endpoints"
+    trials = int(args.trials)
+    strategy = args.strategy
     if strategy not in _STRATEGIES:
         raise ValueError(f"strategy must be one of {_STRATEGIES}")
     seed = int(args.seed)
     cov = correlation.build_covariance(model)
     spectrum = correlation.eigen_spectrum(cov)
-    fitted = _fit_model(args, model) if (args.p or args.p_max) else None
+    fitted = None
+    if args.p is not None or args.p_max is not None:
+        fitted, _ = _fit_model(args, model)
     min_m = 2 if strategy == "uniform_endpoints" else 1
 
     def truth_sampler(sample_seed, count):
@@ -472,11 +473,11 @@ def cmd_bound(args) -> int:
 
 def _add_common(sub: argparse.ArgumentParser):
     sub.add_argument("--config", help="JSON file with default parameter values")
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--out", default="-", help="output path, '-' for stdout")
-    sub.add_argument("--format", choices=("csv", "json"), default=None)
-    sub.add_argument("--no-meta", action="store_true", help="omit the timestamp header")
-    sub.add_argument("--sigma2", type=float, default=None, help="per-port variance (default 1)")
+    sub.add_argument("--seed", type=int, help="stream seed (default 0)")
+    sub.add_argument("--out", help="output path, '-' for stdout (default)")
+    sub.add_argument("--format", choices=("csv", "json"))
+    sub.add_argument("--no-meta", action="store_true", default=None, help="omit the timestamp header")
+    sub.add_argument("--sigma2", type=float, help="per-port variance (default 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:

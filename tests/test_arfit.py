@@ -4,6 +4,7 @@ from scipy.linalg import toeplitz
 from scipy.stats import ks_2samp
 
 from faschan.arfit import (
+    _gain_grid_size,
     arp_induced_covariance,
     check_stability,
     extend_autocorrelation,
@@ -112,6 +113,35 @@ class TestCheckStability:
         companion = build_state_space(model).A
         expected = np.sort(np.abs(np.linalg.eigvals(companion)))[::-1]
         np.testing.assert_allclose(report.root_moduli, expected, atol=1e-10)
+
+
+GAIN_GRID_CASES = [(5.0, 200, p) for p in range(1, 41)] + [(2.0, n, 20) for n in (50, 100, 200)]
+
+
+class TestUnitNoiseGain:
+    # a fixed 2^21 grid stays within 3.5e-8 of the 2^23 reference on these
+    # fits; the sized grid must do as well, with the tolerance to spare
+    @pytest.mark.parametrize("w,n,p", GAIN_GRID_CASES, ids=lambda v: str(v))
+    def test_sized_grid_matches_dense_reference_on_production_fits(self, w, n, p):
+        alpha = fit_clarke_model(ClarkeModel(W=w, N=n), p).alpha
+        transfer = np.fft.fft(np.concatenate([[1.0 + 0.0j], -alpha]), n=1 << 23)
+        reference = float(np.mean(1.0 / np.abs(transfer) ** 2))
+        assert unit_noise_gain(alpha) == pytest.approx(reference, rel=1e-7)
+        assert _gain_grid_size(alpha) <= 1 << 21
+
+    def test_grid_follows_root_margin(self):
+        # margin 0.5 needs only 80 points, so the floor applies; margin 1e-3 needs 40000
+        assert _gain_grid_size(np.array([0.5 + 0j])) == 1 << 12
+        assert _gain_grid_size(np.array([0.999 + 0j])) == 1 << 16
+        assert _gain_grid_size(np.array([1.0 - 1e-9 + 0j])) == 1 << 21
+
+    def test_unstable_alpha_uses_largest_grid(self):
+        for alpha in ([1.5 + 0j], [1.0 + 0j], [0.0, 1.2 + 0j]):
+            assert _gain_grid_size(np.array(alpha)) == 1 << 21
+
+    def test_ar1_closed_form(self):
+        for a in (0.3 + 0.4j, 0.99, -0.999j):
+            assert unit_noise_gain(np.array([a])) == pytest.approx(1.0 / (1.0 - abs(a) ** 2), rel=1e-12)
 
 
 class TestExtendAutocorrelation:

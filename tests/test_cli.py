@@ -3,7 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from faschan.arfit import fit_clarke_model
 from faschan.cli import main
+from faschan.correlation import ClarkeModel
+from faschan.generator import SimulationConfig, simulate_batch
 
 
 def run_cli(argv, capsys):
@@ -123,6 +126,19 @@ class TestCdf:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("flag", ["--J", "--ess-ratio"])
+    def test_explicit_zero_reaches_validation(self, flag, capsys):
+        # a zero must not fall back to the built-in default
+        code, _, err = run_cli(
+            [
+                "cdf", "--W", "1", "--N", "15", "--p", "1", "--mc", "1000", "--J", "200",
+                "--t-grid", "0.5:6:2", flag, "0", "--no-meta",
+            ],
+            capsys,
+        )
+        assert code == 2
+        assert json.loads(err)["type"] == "ValueError"
+
 
 class TestInterpolate:
     def test_per_port_schema(self, capsys, tmp_path):
@@ -240,6 +256,40 @@ class TestConfigFile:
         assert code == 0
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 1 + 1 * 30  # count from flag, N from config
+
+    def test_config_seed_out_and_no_meta_apply(self, capsys, tmp_path):
+        argv = ["generate", "--W", "2", "--N", "10", "--p", "2", "--count", "2"]
+        by_flag = tmp_path / "flag.csv"
+        assert run_cli([*argv, "--seed", "5", "--no-meta", "--out", str(by_flag)], capsys)[0] == 0
+        by_config = tmp_path / "config.csv"
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"seed": 5, "no_meta": True, "out": str(by_config)}))
+        assert run_cli([*argv, "--config", str(config)], capsys)[0] == 0
+        assert by_config.read_bytes() == by_flag.read_bytes()
+        # a flag still overrides the config
+        override = tmp_path / "override.csv"
+        reference = tmp_path / "seed7.csv"
+        code, _, _ = run_cli([*argv, "--config", str(config), "--seed", "7", "--out", str(override)], capsys)
+        assert code == 0
+        assert run_cli([*argv, "--seed", "7", "--no-meta", "--out", str(reference)], capsys)[0] == 0
+        assert override.read_bytes() == reference.read_bytes()
+        assert override.read_bytes() != by_flag.read_bytes()
+
+    def test_zero_burn_in_honoured(self, capsys, tmp_path):
+        out = tmp_path / "gen.csv"
+        code, _, _ = run_cli(
+            [
+                "generate", "--W", "2", "--N", "6", "--p", "2", "--count", "1", "--burn", "0",
+                "--seed", "4", "--no-meta", "--out", str(out),
+            ],
+            capsys,
+        )
+        assert code == 0
+        fitted = fit_clarke_model(ClarkeModel(W=2.0, N=6), 2)
+        row = simulate_batch(fitted, SimulationConfig(N=6, B=0, seed=4), 1)[0]
+        lines = out.read_text().splitlines()[1:]
+        values = np.array([[float(v) for v in line.split(",")[2:]] for line in lines])
+        np.testing.assert_array_equal(values[:, 0] + 1j * values[:, 1], row)
 
     def test_unknown_config_key_rejected(self, capsys, tmp_path):
         config = tmp_path / "config.json"

@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from faschan.arfit import ArpModel, fit_clarke_model, yule_walker_fit
 from faschan.correlation import ClarkeModel
 from faschan.errors import UnstableModelError
-from faschan.generator import SimulationConfig, simulate, simulate_batch
+from faschan.generator import CHUNK_ROWS, SimulationConfig, simulate, simulate_batch
 
 from conftest import make_consistent_model
 
@@ -69,6 +71,26 @@ class TestSimulateBatch:
         batch = simulate_batch(model, config, 5)
         row3 = simulate(model, SimulationConfig(N=25, B=10, seed=(6, 3)))
         np.testing.assert_array_equal(batch[3], row3)
+        # rows on both sides of a chunk boundary, including the short last chunk
+        batch = simulate_batch(model, config, CHUNK_ROWS + 3)
+        for row in (0, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 2):
+            solo = simulate(model, SimulationConfig(N=25, B=10, seed=(6, row)))
+            np.testing.assert_array_equal(batch[row], solo)
+
+    def test_working_memory_independent_of_count(self):
+        # beyond its own output, a batch holds one chunk's buffers whatever its size
+        model = yule_walker_fit([1.0, 0.3])
+        config = SimulationConfig(N=8, B=8, seed=3)
+        extra = []
+        for count in (2 * CHUNK_ROWS, 4 * CHUNK_ROWS):
+            tracemalloc.start()
+            try:
+                batch = simulate_batch(model, config, count)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            extra.append(peak - batch.nbytes)
+        assert extra[1] == pytest.approx(extra[0], rel=0.1)
 
     def test_deterministic(self):
         model = yule_walker_fit([1.0, 0.4])
