@@ -271,19 +271,22 @@ def cmd_cdf(args) -> int:
     return 0
 
 
-def _reconstruction_pair(cov, space, prior, n, indices, truth, sigma_v2, seed):
-    """Oracle (exact prior) and Kalman (fitted prior) reconstructions of one draw."""
+def _observed_values(truth, indices, sigma_v2, seed) -> np.ndarray:
+    """One draw's values at the observed ports, with its own measurement noise."""
     values = truth[indices - 1]
     if sigma_v2 > 0:
         values = values + np.sqrt(sigma_v2) * complex_standard_normal(make_rng(seed), indices.size)
+    return values
+
+
+def _reconstruction_pair(cov, space, prior, n, indices, values, sigma_v2):
+    """Oracle (exact prior) and Kalman (fitted prior) reconstructions of the
+    value rows observed at ``indices``, plus the smoother's wall time."""
     obs = interpolation.ObservationSet(indices=indices, values=values, noise_var=sigma_v2)
-    t0 = time.perf_counter()
     oracle = interpolation.dense_mmse(cov, obs)
-    t_oracle = time.perf_counter() - t0
     t0 = time.perf_counter()
     kalman = interpolation.kalman_smooth(space, prior, obs, n)
-    t_kalman = time.perf_counter() - t0
-    return obs, oracle, kalman, t_oracle, t_kalman
+    return oracle, kalman, time.perf_counter() - t0
 
 
 def cmd_interpolate(args) -> int:
@@ -300,15 +303,14 @@ def cmd_interpolate(args) -> int:
     truth = correlation.sample_exact(spectrum, derive(seed, 0), 1)[0]
     indices = interpolation.port_select(args.strategy, model.N, int(args.M), derive(seed, 1))
     sigma_v2 = float(args.sigma_v2)
-    obs, oracle, kalman, _, _ = _reconstruction_pair(
+    oracle, kalman, _ = _reconstruction_pair(
         cov,
         interpolation.build_state_space(fitted),
         _lag_prior(fitted),
         model.N,
         indices,
-        truth,
+        _observed_values(truth, indices, sigma_v2, derive(seed, 2)),
         sigma_v2,
-        derive(seed, 2),
     )
     observed = np.zeros(model.N, dtype=int)
     observed[indices - 1] = 1
@@ -355,6 +357,8 @@ def cmd_bench(args) -> int:
     for s in strategies:
         if s not in _STRATEGIES:
             raise ValueError(f"strategy must be one of {_STRATEGIES}, got {s!r}")
+    if len(set(strategies)) != len(strategies):
+        raise ValueError(f"--strategies names a strategy twice: {args.strategies!r}")
     trials = int(args.trials)
     sigma_v2 = float(args.sigma_v2)
     seed = int(args.seed)
@@ -370,24 +374,36 @@ def cmd_bench(args) -> int:
         space = interpolation.build_state_space(fitted)
         prior = _lag_prior(fitted)
         truths = correlation.sample_exact(spectrum, derive(seed, n), trials)
-        for strategy in strategies:
-            for trial in range(trials):
-                indices = interpolation.port_select(
-                    strategy, n, m_obs, derive(seed, n, strategies.index(strategy), trial)
+        for s_idx, strategy in enumerate(strategies):
+            patterns = [
+                interpolation.port_select(strategy, n, m_obs, derive(seed, n, s_idx, trial))
+                for trial in range(trials)
+            ]
+            # trials that observe the same ports share one reconstruction call
+            groups: dict[bytes, list[int]] = {}
+            for trial, indices in enumerate(patterns):
+                groups.setdefault(indices.tobytes(), []).append(trial)
+            nm_k = np.zeros(trials)
+            nm_o = np.zeros(trials)
+            t_kalman = np.zeros(trials)
+            for members in groups.values():
+                indices = patterns[members[0]]
+                values = np.array([
+                    _observed_values(truths[t], indices, sigma_v2, derive(seed, n, s_idx, t, 1))
+                    for t in members
+                ])
+                oracle, kalman, elapsed = _reconstruction_pair(
+                    cov, space, prior, n, indices, values, sigma_v2
                 )
-                obs, oracle, kalman, _, t_kalman = _reconstruction_pair(
-                    cov, space, prior, n, indices, truths[trial], sigma_v2,
-                    derive(seed, n, strategies.index(strategy), trial, 1),
-                )
+                t_kalman[members] = elapsed / len(members)
                 unobserved = np.setdiff1d(np.arange(1, n + 1), indices)
                 if unobserved.size:
-                    nm_k = interpolation.nmse(truths[trial], kalman.means, unobserved)
-                    nm_o = interpolation.nmse(truths[trial], oracle.means, unobserved)
-                else:
-                    nm_k = nm_o = 0.0
+                    nm_k[members] = interpolation.nmse(truths[members], kalman.means, unobserved)
+                    nm_o[members] = interpolation.nmse(truths[members], oracle.means, unobserved)
+            for trial, indices in enumerate(patterns):
                 # measured times are environmental, like the timestamp header;
                 # --no-meta zeroes them so reruns are byte-identical
-                wall_us = 0 if args.no_meta else int(round(t_kalman * 1e6))
+                wall_us = 0 if args.no_meta else int(round(t_kalman[trial] * 1e6))
                 rows.append(
                     (
                         trial,
@@ -395,8 +411,8 @@ def cmd_bench(args) -> int:
                         n,
                         m_obs,
                         sigma_v2,
-                        nm_k,
-                        nm_o,
+                        nm_k[trial],
+                        nm_o[trial],
                         interpolation.max_gap(indices, n),
                         wall_us,
                     )

@@ -15,6 +15,7 @@ observation sets.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -33,7 +34,12 @@ _RTS_RCOND = 1e-12
 
 @dataclass(frozen=True)
 class ObservationSet:
-    """Observed port indices (1-based, strictly increasing), values, and noise variance."""
+    """Observed port indices (1-based, strictly increasing), values, and noise variance.
+
+    ``values`` is one vector of M observations, or a (T, M) stack of T value
+    vectors observed at the same ports; the reconstructions then share their
+    covariance work across the T rows and return T rows of means.
+    """
 
     indices: np.ndarray
     values: np.ndarray
@@ -41,13 +47,15 @@ class ObservationSet:
 
     def __post_init__(self):
         idx = np.asarray(self.indices, dtype=int).reshape(-1).copy()
-        val = np.asarray(self.values, dtype=np.complex128).reshape(-1).copy()
+        val = np.array(self.values, dtype=np.complex128)
         if idx.size < 1:
             raise ValueError("at least one observation is required")
         if idx[0] < 1 or np.any(np.diff(idx) <= 0):
             raise ValueError("indices must be strictly increasing and >= 1")
-        if val.size != idx.size:
-            raise ValueError(f"{idx.size} indices but {val.size} values")
+        if val.ndim not in (1, 2):
+            raise ValueError(f"values must be 1-D or (T, M), got shape {val.shape}")
+        if val.shape[-1] != idx.size:
+            raise ValueError(f"{idx.size} indices but {val.shape[-1]} values per row")
         if not self.noise_var >= 0:
             raise ValueError(f"noise_var must be >= 0, got {self.noise_var}")
         idx.setflags(write=False)
@@ -76,7 +84,11 @@ class StateSpace:
 
 @dataclass(frozen=True)
 class ReconstructionResult:
-    """Per-port posterior means and variances plus the unobserved-set NMSE."""
+    """Per-port posterior means and variances plus the unobserved-set NMSE.
+
+    ``means`` is (N,) for one value vector and (T, N) for a stack of T;
+    ``variances`` (N,) and the NMSE depend only on the observed ports.
+    """
 
     means: np.ndarray
     variances: np.ndarray
@@ -88,13 +100,26 @@ def _effective_noise_var(noise_var: float, r0: float) -> float:
     return noise_var if noise_var > 0 else NOISE_FLOOR_FACTOR * r0
 
 
+def _rowwise(mat: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``mat @ row`` for each row of a (T, k) stack.
+
+    Runs as T stacked matrix-vector products rather than one matrix product,
+    so each row rounds exactly as a single-vector call does: sharing a call
+    between trials changes no result bit.
+    """
+    return np.matmul(mat, rows[..., None])[..., 0]
+
+
 def dense_mmse(cov: ToeplitzCovariance, obs: ObservationSet) -> ReconstructionResult:
     """Joint-Gaussian conditioning on the full covariance (the oracle route).
 
     ghat = Sigma[:, O] (Sigma[O, O] + sv2 I)^-1 y via a linear solve;
     variances are the diagonal of the conditional error covariance, and the
     NMSE is the posterior-to-prior trace ratio over unobserved ports (zero
-    when every port is observed).
+    when every port is observed).  The Gram matrix is factored once for all
+    value rows and the cross-covariance together; ``means`` has the shape of
+    ``obs.values`` with the last axis N, while the variances and the NMSE
+    depend only on the observed ports and are shared by every row.
     """
     n = cov.N
     if obs.indices[-1] > n:
@@ -104,8 +129,10 @@ def dense_mmse(cov: ToeplitzCovariance, obs: ObservationSet) -> ReconstructionRe
     sv2 = _effective_noise_var(obs.noise_var, cov.r0)
     cross = sigma[:, idx]
     gram = sigma[np.ix_(idx, idx)] + sv2 * np.eye(obs.M)
+    rows = obs.values.reshape(-1, obs.M)
+    t = rows.shape[0]
     try:
-        solved = np.linalg.solve(gram, np.column_stack([obs.values, cross.conj().T]))
+        solved = np.linalg.solve(gram, np.column_stack([rows.T, cross.conj().T]))
     except np.linalg.LinAlgError as exc:
         raise NumericalError(
             f"observation Gram matrix is singular (M={obs.M}); "
@@ -116,9 +143,9 @@ def dense_mmse(cov: ToeplitzCovariance, obs: ObservationSet) -> ReconstructionRe
             f"observation Gram solve produced non-finite values (M={obs.M}); "
             "raise the noise floor to regularize"
         )
-    means = cross @ solved[:, 0]
+    means = _rowwise(cross, solved[:, :t].T)
     variances = np.maximum(
-        np.diag(sigma).real - np.einsum("ij,ji->i", cross, solved[:, 1:]).real, 0.0
+        np.diag(sigma).real - np.einsum("ij,ji->i", cross, solved[:, t:]).real, 0.0
     )
     unobserved = np.setdiff1d(np.arange(n), idx, assume_unique=False)
     if unobserved.size == 0:
@@ -126,7 +153,10 @@ def dense_mmse(cov: ToeplitzCovariance, obs: ObservationSet) -> ReconstructionRe
     else:
         nmse = float(np.sum(variances[unobserved]) / np.sum(np.diag(sigma).real[unobserved]))
     return ReconstructionResult(
-        means=means, variances=variances, nmse_unobserved=nmse, method_tag="oracle"
+        means=means[0] if obs.values.ndim == 1 else means,
+        variances=variances,
+        nmse_unobserved=nmse,
+        method_tag="oracle",
     )
 
 
@@ -146,7 +176,7 @@ def build_state_space(model: ArpModel) -> StateSpace:
     return StateSpace(A=a, Q=q, H=h)
 
 
-def stationary_covariance(ss: StateSpace, rtol: float = 1e-12, max_iter: int = 10_000) -> np.ndarray:
+def stationary_covariance(ss: StateSpace, rtol: float = 1e-12) -> np.ndarray:
     """Fixed point of P = A P A^H + Q for a Schur-stable A.
 
     Solved directly through the vectorized form (I - conj(A) kron A) vec(P)
@@ -189,7 +219,13 @@ def kalman_smooth(ss: StateSpace, P_inf: np.ndarray, obs: ObservationSet, N: int
     in the minimum-norm least-squares sense: near-singular surrogates make
     that matrix numerically rank-deficient across long unobserved runs, and
     the null directions must carry zero gain rather than round-off noise.
-    Costs O(N p^2) time.
+
+    The covariances and gains depend only on which ports are observed, so a
+    (T, M) stack of values shares one covariance pass and the mean recursion
+    carries a (T, p) block; ``means`` has the shape of ``obs.values`` with
+    the last axis N, and the variances and the NMSE serve every row.  Costs
+    O(N p^3) time for the covariance pass, once per observation pattern,
+    plus O(N p^2 T) for the means of T rows.
     """
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
@@ -200,23 +236,25 @@ def kalman_smooth(ss: StateSpace, P_inf: np.ndarray, obs: ObservationSet, N: int
     q = ss.Q
     r0 = float(P_inf[0, 0].real)
     sv2 = _effective_noise_var(obs.noise_var, r0)
-    y = np.zeros(N + 1, dtype=np.complex128)
+    rows = obs.values.reshape(-1, obs.M)
+    t = rows.shape[0]
+    y = np.zeros((N + 1, t), dtype=np.complex128)
     observed = np.zeros(N + 1, dtype=bool)
-    y[obs.indices] = obs.values
+    y[obs.indices] = rows.T
     observed[obs.indices] = True
 
-    means_f = np.empty((N, p), dtype=np.complex128)
+    means_f = np.empty((N, t, p), dtype=np.complex128)
     covs_f = np.empty((N, p, p), dtype=np.complex128)
-    mean = np.zeros(p, dtype=np.complex128)
+    mean = np.zeros((t, p), dtype=np.complex128)
     cov = np.asarray(P_inf, dtype=np.complex128)
     for k in range(1, N + 1):
         if k > 1:
-            mean = a @ mean
+            mean = _rowwise(a, mean)
             cov = a @ cov @ a.conj().T + q
         if observed[k]:
             innovation_var = float(cov[0, 0].real) + sv2
             gain = cov[:, 0] / innovation_var
-            mean = mean + gain * (y[k] - mean[0])
+            mean = mean + gain * (y[k] - mean[:, 0])[:, None]
             cov = cov - np.outer(gain, cov[0, :])
             cov = (cov + cov.conj().T) / 2.0
         if not np.all(np.isfinite(cov)):
@@ -224,25 +262,25 @@ def kalman_smooth(ss: StateSpace, P_inf: np.ndarray, obs: ObservationSet, N: int
         means_f[k - 1] = mean
         covs_f[k - 1] = cov
 
-    means_out = np.empty(N, dtype=np.complex128)
+    means_out = np.empty((t, N), dtype=np.complex128)
     vars_out = np.empty(N)
     mean_s = means_f[N - 1]
     cov_s = covs_f[N - 1]
-    means_out[N - 1] = mean_s[0]
+    means_out[:, N - 1] = mean_s[:, 0]
     vars_out[N - 1] = max(cov_s[0, 0].real, 0.0)
     for k in range(N - 1, 0, -1):
         mean_f = means_f[k - 1]
         cov_f = covs_f[k - 1]
-        mean_pred = a @ mean_f
+        mean_pred = _rowwise(a, mean_f)
         cov_pred = a @ cov_f @ a.conj().T + q
         cov_pred = (cov_pred + cov_pred.conj().T) / 2.0
         gain = np.linalg.lstsq(cov_pred, a @ cov_f, rcond=_RTS_RCOND)[0].conj().T
-        mean_s = mean_f + gain @ (mean_s - mean_pred)
+        mean_s = mean_f + _rowwise(gain, mean_s - mean_pred)
         cov_s = cov_f + gain @ (cov_s - cov_pred) @ gain.conj().T
         cov_s = (cov_s + cov_s.conj().T) / 2.0
         if not np.all(np.isfinite(cov_s)):
             raise NumericalError(f"smoother covariance became non-finite at port {k}")
-        means_out[k - 1] = mean_s[0]
+        means_out[:, k - 1] = mean_s[:, 0]
         vars_out[k - 1] = max(cov_s[0, 0].real, 0.0)
 
     unobserved = np.setdiff1d(np.arange(1, N + 1), obs.indices)
@@ -251,23 +289,31 @@ def kalman_smooth(ss: StateSpace, P_inf: np.ndarray, obs: ObservationSet, N: int
     else:
         nmse = float(np.sum(vars_out[unobserved - 1]) / (r0 * unobserved.size))
     return ReconstructionResult(
-        means=means_out, variances=vars_out, nmse_unobserved=nmse, method_tag="kalman"
+        means=means_out[0] if obs.values.ndim == 1 else means_out,
+        variances=vars_out,
+        nmse_unobserved=nmse,
+        method_tag="kalman",
     )
 
 
-def nmse(truth, estimate, subset) -> float:
-    """Error energy over true energy on a 1-based port subset."""
-    truth = np.asarray(truth).reshape(-1)
-    estimate = np.asarray(estimate).reshape(-1)
+def nmse(truth, estimate, subset) -> "float | np.ndarray":
+    """Error energy over true energy on a 1-based port subset.
+
+    Reduces along the last axis: one vector pair gives a float, and (T, N)
+    rows (broadcast against each other) give an array of T ratios.
+    """
+    truth = np.asarray(truth)
+    estimate = np.asarray(estimate)
     idx = np.asarray(subset, dtype=int).reshape(-1) - 1
     if idx.size == 0:
         raise ValueError("subset must be non-empty")
-    if np.any(idx < 0) or np.any(idx >= truth.size):
+    if np.any(idx < 0) or np.any(idx >= truth.shape[-1]):
         raise ValueError("subset indices out of range")
-    denom = float(np.sum(np.abs(truth[idx]) ** 2))
-    if denom == 0.0:
+    denom = np.sum(np.abs(truth[..., idx]) ** 2, axis=-1)
+    if np.any(denom == 0.0):
         raise ValueError("subset carries zero energy; NMSE undefined")
-    return float(np.sum(np.abs(estimate[idx] - truth[idx]) ** 2) / denom)
+    ratios = np.sum(np.abs(estimate[..., idx] - truth[..., idx]) ** 2, axis=-1) / denom
+    return float(ratios) if ratios.ndim == 0 else ratios
 
 
 def min_observations_bound(spectrum: EigenSpectrum, epsilon: float) -> int:
@@ -319,24 +365,35 @@ def port_select(strategy: str, N: int, M: int, seed=0) -> np.ndarray:
     random: M distinct uniform draws.  uniform_endpoints: equispaced with
     both array ends pinned, so no gap needs extrapolation.  uniform_interior:
     the same grid inset by half a spacing, which trades boundary gaps for a
-    shorter span.
+    shorter span.  The uniform grids depend only on (strategy, N, M), so they
+    are computed once and returned as shared read-only arrays.
     """
     if not 1 <= M <= N:
         raise ValueError(f"M must be in [1, N], got M={M}, N={N}")
     if strategy == "random":
         return np.sort(make_rng(seed).choice(N, size=M, replace=False) + 1)
+    if strategy in ("uniform_endpoints", "uniform_interior"):
+        return _uniform_grid(strategy, int(N), int(M))
+    raise ValueError(f"unknown strategy {strategy!r}")
+
+
+@functools.lru_cache(maxsize=1024)
+def _uniform_grid(strategy: str, N: int, M: int) -> np.ndarray:
+    """The uniform_* indices, computed once per (strategy, N, M); read-only,
+    because every caller shares the cached array."""
     if strategy == "uniform_endpoints":
         if M < 2:
             raise ValueError("uniform_endpoints requires M >= 2")
         raw = _round_half_up(1 + np.arange(M) * (N - 1) / (M - 1))
-        return _repair_duplicates(raw, N, M)
-    if strategy == "uniform_interior":
-        if M == 1:
-            return np.array([int(round((N + 1) / 2))])
+        grid = _repair_duplicates(raw, N, M)
+    elif M == 1:
+        grid = np.array([int(round((N + 1) / 2))])
+    else:
         offset = math.ceil(N / (2 * M))
         raw = _round_half_up(offset + 1 + np.arange(M) * (N - 2 * offset) / (M - 1))
-        return _repair_duplicates(raw, N, M)
-    raise ValueError(f"unknown strategy {strategy!r}")
+        grid = _repair_duplicates(raw, N, M)
+    grid.setflags(write=False)
+    return grid
 
 
 def max_gap(indices, N: int) -> int:
@@ -368,22 +425,29 @@ def empirical_min_observations(
     ``estimator(obs) -> ReconstructionResult``, ``truth_sampler(seed, count)
     -> (count, N) channels`` and ``select(M, trial_seed) -> indices`` are
     supplied by the caller.  M qualifies when the sample mean NMSE is within
-    three standard errors of the target or below it.
+    three standard errors of the target or below it.  Trials that select the
+    same indices form one (T, M) observation set, so the estimator runs once
+    per distinct pattern and must accept stacked values; the ratios keep the
+    trial order.
     """
 
     def qualifies(m: int) -> bool:
         ratios = np.empty(trials)
         truths = truth_sampler((*_as_tuple(seed), m), trials)
-        for trial in range(trials):
-            indices = select(m, (*_as_tuple(seed), m, trial))
-            truth = truths[trial]
-            obs = ObservationSet(indices=indices, values=truth[indices - 1], noise_var=0.0)
+        patterns = [np.asarray(select(m, (*_as_tuple(seed), m, trial))) for trial in range(trials)]
+        groups: dict[bytes, list[int]] = {}
+        for trial, indices in enumerate(patterns):
+            groups.setdefault(indices.tobytes(), []).append(trial)
+        for members in groups.values():
+            indices = patterns[members[0]]
+            rows = truths[members]
+            obs = ObservationSet(indices=indices, values=rows[:, indices - 1], noise_var=0.0)
             result = estimator(obs)
             unobserved = np.setdiff1d(np.arange(1, N + 1), indices)
             if unobserved.size == 0:
-                ratios[trial] = 0.0
+                ratios[members] = 0.0
             else:
-                ratios[trial] = nmse(truth, result.means, unobserved)
+                ratios[members] = nmse(rows, result.means, unobserved)
         mean = float(np.mean(ratios))
         sem = float(np.std(ratios, ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
         return mean <= epsilon + 3.0 * sem

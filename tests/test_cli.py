@@ -2,11 +2,21 @@ import json
 
 import numpy as np
 import pytest
+from scipy.linalg import toeplitz
 
 from faschan.arfit import fit_clarke_model
 from faschan.cli import main
-from faschan.correlation import ClarkeModel
+from faschan.correlation import ClarkeModel, build_covariance, eigen_spectrum, sample_exact
 from faschan.generator import SimulationConfig, simulate_batch
+from faschan.interpolation import (
+    ObservationSet,
+    build_state_space,
+    dense_mmse,
+    kalman_smooth,
+    nmse,
+    port_select,
+)
+from faschan.rng import complex_standard_normal, derive, make_rng
 
 
 def run_cli(argv, capsys):
@@ -190,6 +200,51 @@ class TestBench:
             "trial_id,strategy,N,M,sigma_v2,nmse_kalman,nmse_oracle,l_max,wall_time_us"
         )
         assert len(lines) == 1 + 2 * 2 * 2
+
+    def test_rows_match_per_trial_reconstruction(self, capsys, tmp_path):
+        # bench shares one call among trials with the same ports; every row
+        # must still be its own trial's reconstruction, seeds and noise included
+        out = tmp_path / "bench.csv"
+        n, m, trials, seed, sigma_v2 = 30, 6, 3, 4, 1e-2
+        strategies = ["uniform_interior", "random"]
+        code, _, _ = run_cli(
+            ["bench", "--W", "2", "--N", str(n), "--M", str(m), "--p", "3", "--trials", str(trials),
+             "--strategies", ",".join(strategies), "--sigma-v2", str(sigma_v2), "--seed", str(seed),
+             "--no-meta", "--out", str(out)],
+            capsys,
+        )
+        assert code == 0
+        rows = [line.split(",") for line in out.read_text().strip().splitlines()[1:]]
+        model = ClarkeModel(W=2.0, N=n)
+        cov = build_covariance(model)
+        fitted = fit_clarke_model(model, 3)
+        space = build_state_space(fitted)
+        prior = toeplitz(np.conj(fitted.source_lags[:3]), fitted.source_lags[:3])
+        truths = sample_exact(eigen_spectrum(cov), derive(seed, n), trials)
+        expected = []
+        for s_idx, strategy in enumerate(strategies):
+            for t in range(trials):
+                idx = port_select(strategy, n, m, derive(seed, n, s_idx, t))
+                noise = complex_standard_normal(make_rng(derive(seed, n, s_idx, t, 1)), m)
+                obs = ObservationSet(idx, truths[t, idx - 1] + np.sqrt(sigma_v2) * noise, sigma_v2)
+                unobserved = np.setdiff1d(np.arange(1, n + 1), idx)
+                kalman = kalman_smooth(space, prior, obs, n).means
+                expected.append((str(t), strategy, nmse(truths[t], kalman, unobserved),
+                                 nmse(truths[t], dense_mmse(cov, obs).means, unobserved)))
+        assert [(r[0], r[1]) for r in rows] == [e[:2] for e in expected]
+        for row, (_, _, nm_k, nm_o) in zip(rows, expected):
+            assert float(row[5]) == pytest.approx(nm_k, rel=1e-12)
+            assert float(row[6]) == pytest.approx(nm_o, rel=1e-12)
+
+    def test_duplicate_strategy_usage_error(self, capsys):
+        code, out, err = run_cli(
+            ["bench", "--W", "2", "--N", "20", "--ratio", "0.2", "--p", "3", "--trials", "2",
+             "--strategies", "random,uniform_interior,random", "--no-meta"],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert "twice" in json.loads(err)["error"]
 
 
 class TestBound:

@@ -14,8 +14,10 @@ from faschan.errors import UnstableModelError
 from faschan.interpolation import (
     NOISE_FLOOR_FACTOR,
     ObservationSet,
+    _uniform_grid,
     build_state_space,
     dense_mmse,
+    empirical_min_observations,
     kalman_smooth,
     max_gap,
     min_observations_bound,
@@ -40,6 +42,14 @@ class TestObservationSet:
             ObservationSet(indices=[1, 2], values=[1.0])
         with pytest.raises(ValueError):
             ObservationSet(indices=[1], values=[1.0], noise_var=-1.0)
+
+    def test_stacked_values(self):
+        obs = ObservationSet(indices=[2, 5], values=np.ones((3, 2)))
+        assert obs.values.shape == (3, 2) and obs.M == 2
+        with pytest.raises(ValueError):
+            ObservationSet(indices=[2, 5], values=np.ones((3, 2, 2)))
+        with pytest.raises(ValueError):
+            ObservationSet(indices=[2, 5], values=np.ones((2, 3)))
 
 
 class TestDenseMmse:
@@ -244,6 +254,104 @@ class TestKalmanSmooth:
             kalman_smooth(build_state_space(model), lag_toeplitz_prior(model), obs, 10)
 
 
+class TestStackedReconstruction:
+    """A (T, M) value stack shares one call; each row must equal its own call."""
+
+    ROWS = 5
+
+    @staticmethod
+    def _cases():
+        toy = make_consistent_model(6, seed=(88, 0))
+        clarke = ClarkeModel(W=2.0, N=100)
+        fit = fit_clarke_model(clarke, 20)
+        return [
+            (toy, arp_induced_covariance(toy, 60), 60, port_select("random", 60, 12, (88, 1)), 1e-2),
+            (fit, build_covariance(clarke), 100, port_select("uniform_endpoints", 100, 20), 0.0),
+        ]
+
+    def test_rows_match_single_vector_calls(self):
+        for model, cov, n, idx, noise in self._cases():
+            values = complex_standard_normal(make_rng((88, 2, n)), (self.ROWS, idx.size))
+            space, prior = build_state_space(model), lag_toeplitz_prior(model)
+            routes = (lambda o: dense_mmse(cov, o), lambda o: kalman_smooth(space, prior, o, n))
+            for route in routes:
+                stacked = route(ObservationSet(indices=idx, values=values, noise_var=noise))
+                assert stacked.means.shape == (self.ROWS, n)
+                for row in range(self.ROWS):
+                    single = route(ObservationSet(indices=idx, values=values[row], noise_var=noise))
+                    # stacking runs the same per-row products, so no bit may
+                    # move (far inside the C4 tolerance of 1e-6 max|mean|)
+                    np.testing.assert_array_equal(stacked.means[row], single.means)
+                    np.testing.assert_array_equal(stacked.variances, single.variances)
+                    assert stacked.nmse_unobserved == single.nmse_unobserved
+
+    def test_empirical_min_observations_matches_per_trial_loop(self, clarke_w2n100, spectrum_w2n100):
+        cov = build_covariance(clarke_w2n100)
+        n, trials, eps = clarke_w2n100.N, 30, 1e-2
+
+        def truth_sampler(seed, count):
+            return sample_exact(spectrum_w2n100, seed, count)
+
+        def reference(select, min_m):
+            # the per-trial loop the grouped implementation replaced
+            def qualifies(m):
+                truths = truth_sampler((7, m), trials)
+                ratios = np.empty(trials)
+                for t in range(trials):
+                    idx = select(m, (7, m, t))
+                    obs = ObservationSet(indices=idx, values=truths[t, idx - 1], noise_var=0.0)
+                    unobserved = np.setdiff1d(np.arange(1, n + 1), idx)
+                    ratios[t] = nmse(truths[t], dense_mmse(cov, obs).means, unobserved)
+                sem = np.std(ratios, ddof=1) / np.sqrt(trials)
+                return np.mean(ratios) <= eps + 3.0 * sem
+
+            lo, hi = min_m, n
+            if qualifies(lo):
+                return lo
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                hi, lo = (mid, lo) if qualifies(mid) else (hi, mid)
+            return hi
+
+        for strategy, min_m in (("uniform_endpoints", 2), ("random", 1)):
+            def select(m, seed, strategy=strategy):
+                return port_select(strategy, n, m, seed)
+
+            got = empirical_min_observations(
+                eps, trials, 7, lambda obs: dense_mmse(cov, obs), truth_sampler, select, n, min_m=min_m
+            )
+            assert got == reference(select, min_m)
+
+    def test_empirical_min_observations_passes_each_trial_once(self, clarke_w2n100, spectrum_w2n100):
+        # odd trials draw random ports, even ones share the uniform grid, so
+        # every Monte Carlo round mixes one large group with groups of one
+        cov = build_covariance(clarke_w2n100)
+        n, trials = clarke_w2n100.N, 9
+        rounds = []
+
+        def truth_sampler(seed, count):
+            truths = sample_exact(spectrum_w2n100, seed, count)
+            rounds.append({"truths": truths, "ports": {}, "seen": []})
+            return rounds[-1]["truths"]
+
+        def select(m, seed):
+            idx = port_select("random" if seed[-1] % 2 else "uniform_endpoints", n, m, seed)
+            rounds[-1]["ports"][seed[-1]] = idx
+            return idx
+
+        def estimator(obs):
+            current = rounds[-1]
+            members = [t for t, idx in current["ports"].items() if np.array_equal(idx, obs.indices)]
+            np.testing.assert_array_equal(obs.values, current["truths"][members][:, obs.indices - 1])
+            current["seen"].extend(members)
+            return dense_mmse(cov, obs)
+
+        empirical_min_observations(1e-3, trials, 3, estimator, truth_sampler, select, n, min_m=2)
+        assert len(rounds) > 1
+        for current in rounds:
+            assert sorted(current["seen"]) == list(range(trials))
+
+
 class TestNmse:
     def test_exact_estimate(self):
         truth = np.array([1 + 1j, 2.0, 3j])
@@ -273,6 +381,18 @@ class TestNmse:
             err_energy += np.sum(np.abs(result.means[unobserved] - truths[k, unobserved]) ** 2)
             truth_energy += np.sum(np.abs(truths[k, unobserved]) ** 2)
         assert err_energy / truth_energy == pytest.approx(theoretical, rel=0.05)
+
+    def test_stacked_rows_match_per_row_calls(self):
+        rng = make_rng(57)
+        truth = complex_standard_normal(rng, (4, 30))
+        estimate = truth + 0.1 * complex_standard_normal(rng, (4, 30))
+        subset = [2, 3, 7, 11, 29, 30]
+        ratios = nmse(truth, estimate, subset)
+        assert ratios.shape == (4,)
+        expected = [nmse(truth[t], estimate[t], subset) for t in range(4)]
+        # only the summation order differs between a row and a vector
+        np.testing.assert_allclose(ratios, expected, rtol=1e-13)
+        assert isinstance(nmse(truth[0], estimate[0], subset), float)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
@@ -346,6 +466,14 @@ class TestPortSelect:
             idx = port_select(strategy, 12, 11)
             assert idx.size == 11
             assert np.unique(idx).size == 11
+
+    def test_uniform_grids_cached_read_only(self):
+        for strategy, n, m in (("uniform_endpoints", 100, 20), ("uniform_interior", 57, 9),
+                               ("uniform_interior", 9, 1)):
+            idx = port_select(strategy, n, m)
+            assert idx is port_select(strategy, n, m, seed=5)
+            assert not idx.flags.writeable
+            np.testing.assert_array_equal(idx, _uniform_grid.__wrapped__(strategy, n, m))
 
     def test_validation(self):
         with pytest.raises(ValueError):
