@@ -154,7 +154,8 @@ def _float_list(text) -> list[float]:
     return [float(part) for part in str(text).split(",") if part != ""]
 
 
-def _threshold_grid(args, model, seed) -> np.ndarray:
+def _threshold_grid(args, spectrum, seed) -> np.ndarray:
+    """The --t-grid, or quantiles of a pilot exact sample drawn from ``spectrum``."""
     if args.t_grid:
         start, stop, count = str(args.t_grid).split(":")
         if int(count) < 1:
@@ -164,7 +165,6 @@ def _threshold_grid(args, model, seed) -> np.ndarray:
     if count < 1:
         raise ValueError("--t-quantile-grid must be >= 1")
     pilot_n = 4000
-    spectrum = correlation.eigen_spectrum(correlation.build_covariance(model))
     gains = max_gain(correlation.sample_exact(spectrum, derive(seed, 90), pilot_n))
     probs = (np.arange(count) + 0.5) / count
     return np.quantile(gains, probs)
@@ -239,8 +239,8 @@ def cmd_cdf(args) -> int:
     mc = int(args.mc)
     j_particles = int(args.J)
     burn = int(args.burn)
-    grid = _threshold_grid(args, model, seed)
     spectrum = correlation.eigen_spectrum(correlation.build_covariance(model))
+    grid = _threshold_grid(args, spectrum, seed)
     exact = selection_gain.empirical_cdf_max_gain(
         correlation.sample_exact(spectrum, derive(seed, 0), mc), grid
     )
@@ -439,6 +439,8 @@ def cmd_bound(args) -> int:
     fitted = None
     if args.p is not None or args.p_max is not None:
         fitted, _ = _fit_model(args, model)
+        space = interpolation.build_state_space(fitted)
+        prior = _lag_prior(fitted)
     min_m = 2 if strategy == "uniform_endpoints" else 1
 
     def truth_sampler(sample_seed, count):
@@ -461,8 +463,6 @@ def cmd_bound(args) -> int:
             min_m=min_m,
         )
         if fitted is not None:
-            space = interpolation.build_state_space(fitted)
-            prior = _lag_prior(fitted)
             m_kalman = interpolation.empirical_min_observations(
                 eps,
                 trials,

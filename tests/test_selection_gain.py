@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from faschan.arfit import ArpModel
+from faschan.arfit import ArpModel, fit_clarke_model
 from faschan.correlation import ClarkeModel, build_covariance, eigen_spectrum, sample_exact
 from faschan.errors import UnstableModelError
-from faschan.generator import SimulationConfig, simulate_batch
+from faschan.generator import SimulationConfig, burned_in_factor, burned_in_states, simulate_batch
 from faschan.rng import complex_standard_normal, make_rng
 from faschan.selection_gain import empirical_cdf_max_gain, smc_cdf, systematic_resample
 from faschan.stats import isotonic_non_decreasing, max_gain
@@ -142,6 +144,94 @@ class TestSmcCdf:
         )
         with pytest.raises(UnstableModelError):
             smc_cdf(bad, N=10, thresholds=[1.0], J=200, seed=0)
+
+    def test_negative_burn_in_rejected(self, small_model):
+        with pytest.raises(ValueError, match="burn_in_factor"):
+            smc_cdf(small_model, N=10, thresholds=[1.0], J=200, seed=0, burn_in_factor=-1)
+        with pytest.raises(ValueError):
+            burned_in_factor(small_model, -1)
+        # zero burn-in is a valid start: the first p ports from zeros
+        curve = smc_cdf(small_model, N=10, thresholds=[1.0], J=200, seed=0, burn_in_factor=0)
+        assert 0.0 <= curve.values[0] <= 1.0
+
+    def test_working_memory_independent_of_burn_in(self, small_model):
+        # the starting swarm is drawn, not simulated: a tenfold burn-in
+        # must not grow the evaluator's peak allocation
+        peaks = []
+        for factor in (5, 50):
+            tracemalloc.start()
+            try:
+                smc_cdf(small_model, N=20, thresholds=[2.0, 4.0], J=2000, seed=8, burn_in_factor=factor)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] == pytest.approx(peaks[0], rel=0.1)
+
+
+def burned_in_oracle(model, B) -> np.ndarray:
+    """Covariance of [g_{B+p}, ..., g_{B+1}] from zeros, in long double.
+
+    sigma_eps2 H H^H with row a of H the impulse response shifted right by a.
+    """
+    p, steps = model.p, B + model.p
+    alpha = model.alpha.astype(np.clongdouble)
+    # p - 1 leading zeros, then h_0 .. h_{steps-1}
+    h = np.zeros(p - 1 + steps, dtype=np.clongdouble)
+    h[p - 1] = 1
+    for k in range(1, steps):
+        h[p - 1 + k] = np.sum(alpha * h[k - 1 : p - 1 + k][::-1])
+    H = np.zeros((p, steps), dtype=np.clongdouble)
+    for a in range(p):
+        H[a, a:] = h[p - 1 : p - 1 + steps - a]
+    return np.clongdouble(model.sigma_eps2) * (H @ H.conj().T)
+
+
+@pytest.fixture(scope="module")
+def complex_root_model():
+    # roots off the real axis give a covariance with large imaginary parts,
+    # which a missing conjugate or a transposed factor cannot reproduce
+    roots = [0.8 * np.exp(0.9j), 0.7 * np.exp(-2.0j), 0.6 * np.exp(2.5j)]
+    return make_consistent_model(3, roots=roots)
+
+
+class TestBurnedInLaw:
+    @pytest.mark.parametrize(
+        "case, B",
+        [("toy", 0), ("toy", 5 * 40), ("W5N200p37", 5 * 200), ("W2N100p20", 5 * 100)],
+    )
+    def test_factor_matches_impulse_response_oracle(self, complex_root_model, case, B):
+        if case == "toy":
+            model = complex_root_model
+        elif case == "W5N200p37":
+            model = fit_clarke_model(ClarkeModel(W=5.0, N=200), 37)
+        else:
+            model = fit_clarke_model(ClarkeModel(W=2.0, N=100), 20)
+        factor = burned_in_factor(model, B)
+        assert factor.shape == (model.p, model.p)
+        oracle = burned_in_oracle(model, B)
+        got = (factor.conj().T @ factor).astype(np.clongdouble)
+        assert np.linalg.norm(got - oracle) <= 1e-8 * np.linalg.norm(oracle)
+
+    def test_drawn_states_follow_the_law(self, complex_root_model):
+        model, B, count = complex_root_model, 5 * 40, 40_000
+        oracle = burned_in_oracle(model, B).astype(complex)
+        assert np.max(np.abs(oracle.imag)) > 0.25
+        states = burned_in_states(burned_in_factor(model, B), count, seed=(71, 0))
+        assert states.shape == (count, model.p)
+        sample = states.T @ states.conj() / count
+        # circular Gaussian: Var(x_a conj(x_b)) = Sigma_aa Sigma_bb
+        d = np.real(np.diag(oracle))
+        stderr = np.sqrt(np.outer(d, d) / count)
+        assert np.all(np.abs(sample - oracle) <= 5 * stderr)
+
+    def test_states_reproducible_from_seed(self, complex_root_model):
+        factor = burned_in_factor(complex_root_model, 10)
+        np.testing.assert_array_equal(
+            burned_in_states(factor, 50, seed=3), burned_in_states(factor, 50, seed=3)
+        )
+        assert not np.array_equal(
+            burned_in_states(factor, 50, seed=3), burned_in_states(factor, 50, seed=4)
+        )
 
 
 class TestSurvivalUpdate:
