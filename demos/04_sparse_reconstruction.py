@@ -8,7 +8,6 @@ reconstruction error.
 """
 
 import numpy as np
-from scipy.linalg import toeplitz
 
 from faschan import (
     ClarkeModel,
@@ -23,6 +22,7 @@ from faschan import (
     nmse,
     port_select,
     sample_exact,
+    stationary_covariance,
 )
 
 model = ClarkeModel(W=2.0, N=100)
@@ -31,8 +31,7 @@ truth = sample_exact(eigen_spectrum(cov), seed=11, count=1)[0]
 
 fitted = fit_clarke_model(model, 20)
 space = build_state_space(fitted)
-head = fitted.source_lags[: fitted.p]
-prior = toeplitz(np.conj(head), head)
+prior = stationary_covariance(fitted)
 
 print("strategy            L_max   oracle NMSE   kalman NMSE")
 for strategy in ("uniform_endpoints", "uniform_interior", "random"):

@@ -12,7 +12,6 @@ from .arfit import (
     StabilityReport,
     arp_induced_covariance,
     check_stability,
-    extend_autocorrelation,
     fit_clarke_model,
     select_order,
     unit_noise_gain,

@@ -3,9 +3,11 @@
 The fit solves the complex Yule-Walker normal equations R a = r built from
 the target lags r(0..p), takes the innovation variance as r(0) - a^H r, and
 is accepted only if every root of 1 - sum_i a_i z^-i lies inside the unit
-circle with margin.  The induced autocorrelation of the fitted process
-reproduces r(0..p) exactly and extends by the same recursion, which gives a
-full Toeplitz covariance for cross-checking against dense conditioning.
+circle with margin.  The fitted process's own autocorrelation is the inverse
+transform of its power spectrum sigma^2 / |A(e^{jw})|^2, evaluated on the
+same grid that normalizes the innovation variance; it gives the Toeplitz
+covariance for cross-checking against dense conditioning and the smoother's
+stationary prior.
 
 Order selection follows the Monte-Carlo procedure: an exact-model reference
 sample of the selection gain, one simulated sample per stable candidate
@@ -143,6 +145,13 @@ def _gain_grid_size(alpha: np.ndarray) -> int:
     return int(min(max(1 << (needed - 1).bit_length(), _GRID_MIN), _GRID_MAX))
 
 
+def _inverse_power(alpha: np.ndarray, min_size: int = 1) -> np.ndarray:
+    """1 / |A(e^{jw})|^2 on the unit_noise_gain grid, grown to >= min_size points."""
+    nfft = max(_gain_grid_size(alpha), 1 << (min_size - 1).bit_length())
+    transfer = np.fft.fft(np.concatenate([[1.0 + 0.0j], -np.asarray(alpha)]), n=nfft)
+    return 1.0 / np.abs(transfer) ** 2
+
+
 def unit_noise_gain(alpha: np.ndarray) -> float:
     """Stationary per-sample variance of the AR filter driven by unit white noise.
 
@@ -155,9 +164,7 @@ def unit_noise_gain(alpha: np.ndarray) -> float:
     is below e^-40 and the grid mean is as exact as round-off allows.  It is
     clamped to [2^12, 2^21], and margins <= 0 use 2^21.
     """
-    nfft = _gain_grid_size(alpha)
-    transfer = np.fft.fft(np.concatenate([[1.0 + 0.0j], -np.asarray(alpha)]), n=nfft)
-    return float(np.mean(1.0 / np.abs(transfer) ** 2))
+    return float(np.mean(_inverse_power(alpha)))
 
 
 def fit_clarke_model(model: ClarkeModel, p: int, window_factor: int = _WINDOW_FACTOR) -> ArpModel:
@@ -194,28 +201,23 @@ def check_stability(model: ArpModel) -> StabilityReport:
     return StabilityReport(root_moduli=moduli, stable=worst < 1.0 - DELTA_STAB, margin=1.0 - worst)
 
 
-def extend_autocorrelation(model: ArpModel, L: int) -> np.ndarray:
-    """Autocorrelation r(0..L) of the fitted process.
-
-    Lags 0..p are the matched source lags; beyond that the stationary
-    process obeys r(l) = sum_i alpha_i r(l-i), which decays for stable
-    models and diverges otherwise, hence the stability gate.
-    """
-    if L < model.p:
-        raise ValueError(f"L must be >= p = {model.p}, got {L}")
-    if not check_stability(model).stable:
-        raise UnstableModelError("cannot extend the autocorrelation of an unstable model")
-    r = np.zeros(L + 1, dtype=np.complex128)
-    r[: model.p + 1] = model.source_lags
-    alpha = model.alpha
-    for lag in range(model.p + 1, L + 1):
-        r[lag] = alpha @ r[lag - 1 : lag - model.p - 1 : -1]
-    return r
-
-
 def arp_induced_covariance(model: ArpModel, N: int) -> ToeplitzCovariance:
-    """Toeplitz covariance of N consecutive samples of the fitted process."""
-    return ToeplitzCovariance(first_row=extend_autocorrelation(model, N - 1), N=N)
+    """Toeplitz covariance of N consecutive samples of the fitted process.
+
+    The lags are the process's own: r(l) = sigma^2 / nfft * sum_k S_k e^{+j w_k l}
+    with S = 1 / |A|^2 on unit_noise_gain's grid (grown to at least 2N points),
+    which is the inverse DFT of the power spectrum.  Like the grid mean, each
+    lag carries only the aliased lags l +- nfft, ..., below e^-20 r(0) for
+    l <= nfft / 2.  The spectrum of an unstable model has no inverse
+    transform, hence the stability gate.
+    """
+    if N < 1:
+        raise ValueError(f"N must be >= 1, got {N}")
+    if not check_stability(model).stable:
+        raise UnstableModelError("an unstable model has no stationary autocorrelation")
+    power = _inverse_power(model.alpha, 2 * N)
+    lags = np.conj(np.fft.rfft(power)[:N]) * (model.sigma_eps2 / power.size)
+    return ToeplitzCovariance(first_row=lags, N=N)
 
 
 def select_order(

@@ -20,7 +20,6 @@ import time
 from datetime import datetime, timezone
 
 import numpy as np
-from scipy.linalg import toeplitz
 
 from . import arfit, correlation, generator, interpolation, selection_gain
 from .errors import FitError, NumericalError, UnstableModelError
@@ -171,8 +170,7 @@ def _threshold_grid(args, spectrum, seed) -> np.ndarray:
 
 
 def _lag_prior(model: arfit.ArpModel) -> np.ndarray:
-    head = model.source_lags[: model.p]
-    return toeplitz(np.conj(head), head)
+    return interpolation.stationary_covariance(model)
 
 
 # ---------------------------------------------------------------------------

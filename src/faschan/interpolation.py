@@ -20,8 +20,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import toeplitz
 
-from .arfit import ArpModel, check_stability
+from .arfit import ArpModel, arp_induced_covariance, check_stability
 from .correlation import EigenSpectrum, ToeplitzCovariance
 from .errors import NumericalError, UnstableModelError
 from .rng import make_rng
@@ -176,35 +177,16 @@ def build_state_space(model: ArpModel) -> StateSpace:
     return StateSpace(A=a, Q=q, H=h)
 
 
-def stationary_covariance(ss: StateSpace, rtol: float = 1e-12) -> np.ndarray:
-    """Fixed point of P = A P A^H + Q for a Schur-stable A.
+def stationary_covariance(model: ArpModel) -> np.ndarray:
+    """Covariance of the lifted state [g_k, ..., g_{k-p+1}] under the model's own law.
 
-    Solved directly through the vectorized form (I - conj(A) kron A) vec(P)
-    = vec(Q); the companion matrices produced by near-singular fits are so
-    non-normal that squaring-based iterations overflow long before they
-    converge, so the direct solve is the dependable route at these state
-    dimensions.  The residual is checked against both the noise scale and
-    the round-off floor of the solution itself.
+    Entry (i, j) is E[g_{k-i} conj(g_{k-j})] = r(j - i), with r the lags of
+    ``arp_induced_covariance``, so the smoother prior, the induced covariance
+    and the recursion describe one stationary process.  This Toeplitz matrix
+    is the fixed point of P = A P A^H + Q for the companion dynamics.
     """
-    a = ss.A
-    p = ss.p
-    if np.max(np.abs(np.linalg.eigvals(a))) >= 1.0:
-        raise ValueError("spectral radius must be < 1")
-    # vec(A P A^H) = (conj(A) kron A) vec(P) with column-stacked vec
-    lhs = np.eye(p * p, dtype=np.complex128) - np.kron(np.conj(a), a)
-    try:
-        vec = np.linalg.solve(lhs, ss.Q.reshape(-1, order="F"))
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"stationary covariance solve failed for p={p}: {exc}") from exc
-    pinf = vec.reshape(p, p, order="F")
-    pinf = (pinf + pinf.conj().T) / 2.0
-    residual = np.linalg.norm(pinf - a @ pinf @ a.conj().T - ss.Q)
-    tol = max(rtol * np.linalg.norm(pinf) * p, 1e-10 * np.linalg.norm(ss.Q))
-    if not (np.all(np.isfinite(pinf)) and residual <= tol):
-        raise NumericalError(
-            f"stationary covariance residual {residual:.3e} exceeds tolerance {tol:.3e}"
-        )
-    return pinf
+    lags = arp_induced_covariance(model, model.p).first_row
+    return toeplitz(np.conj(lags), lags)
 
 
 def kalman_smooth(ss: StateSpace, P_inf: np.ndarray, obs: ObservationSet, N: int) -> ReconstructionResult:

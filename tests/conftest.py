@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from scipy.linalg import toeplitz
 
 from faschan.arfit import ArpModel, unit_noise_gain
 from faschan.correlation import ClarkeModel, build_covariance, eigen_spectrum
@@ -17,14 +16,23 @@ def spectrum_w2n100(clarke_w2n100):
     return eigen_spectrum(build_covariance(clarke_w2n100))
 
 
+@pytest.fixture(scope="session")
+def complex_root_model():
+    # roots off the real axis give a covariance with large imaginary parts,
+    # which a missing conjugate or a transposed factor cannot reproduce
+    roots = [0.8 * np.exp(0.9j), 0.7 * np.exp(-2.0j), 0.6 * np.exp(2.5j)]
+    return make_consistent_model(3, roots=roots)
+
+
 def make_consistent_model(p: int, seed=0, max_mod: float = 0.6, roots=None) -> ArpModel:
     """Stable AR(p) whose source lags are its own stationary lags.
 
     Roots are drawn inside a disk of radius ``max_mod`` unless given
     explicitly; the innovation variance normalizes the stationary per-port
-    variance to 1, and the lag sequence comes from the state-covariance
-    fixed point, so the model, its induced covariance, and the lag-Toeplitz
-    state prior all describe exactly the same Gaussian law.
+    variance to 1.  The lag sequence comes from an explicit Kronecker solve
+    of the state-covariance fixed point, independently of the library's
+    spectral lags, so on these well-conditioned toys ``source_lags`` is a
+    reference for ``arp_induced_covariance`` and ``stationary_covariance``.
     """
     if roots is None:
         rng = make_rng(seed)
@@ -48,7 +56,33 @@ def make_consistent_model(p: int, seed=0, max_mod: float = 0.6, roots=None) -> A
     return ArpModel(alpha=alpha, sigma_eps2=sigma_eps2, p=p, source_lags=lags)
 
 
-def lag_toeplitz_prior(model: ArpModel) -> np.ndarray:
-    """Stationary lifted-state covariance implied by the matched lags."""
-    head = model.source_lags[: model.p]
-    return toeplitz(np.conj(head), head)
+def impulse_response(model: ArpModel, steps: int) -> np.ndarray:
+    """h_0 .. h_{steps-1} of the AR recursion, in long double."""
+    p = model.p
+    alpha = model.alpha.astype(np.clongdouble)
+    # p - 1 leading zeros, then the response
+    h = np.zeros(p - 1 + steps, dtype=np.clongdouble)
+    h[p - 1] = 1
+    for k in range(1, steps):
+        h[p - 1 + k] = np.sum(alpha * h[k - 1 : p - 1 + k][::-1])
+    return h[p - 1 :]
+
+
+def burned_in_oracle(model: ArpModel, B: int) -> np.ndarray:
+    """Covariance of [g_{B+p}, ..., g_{B+1}] from zeros, in long double.
+
+    sigma_eps2 H H^H with row a of H the impulse response shifted right by a.
+    """
+    p, steps = model.p, B + model.p
+    h = impulse_response(model, steps)
+    H = np.zeros((p, steps), dtype=np.clongdouble)
+    for a in range(p):
+        H[a, a:] = h[: steps - a]
+    return np.clongdouble(model.sigma_eps2) * (H @ H.conj().T)
+
+
+def impulse_response_lags(model: ArpModel, N: int, steps: int) -> np.ndarray:
+    """r(0..N-1) = sigma_eps2 sum_k h_{k+l} conj(h_k), truncated at ``steps`` terms, in long double."""
+    h = impulse_response(model, steps + N)
+    head = np.conj(h[:steps])
+    return np.clongdouble(model.sigma_eps2) * np.array([np.sum(h[l : l + steps] * head) for l in range(N)])

@@ -25,12 +25,13 @@ from faschan.interpolation import (
     min_observations_bound,
     nmse,
     port_select,
+    stationary_covariance,
 )
 from faschan.rng import complex_standard_normal, derive, make_rng
 from faschan.selection_gain import empirical_cdf_max_gain, smc_cdf
 from faschan.stats import ks_distance, max_gain
 
-from conftest import lag_toeplitz_prior, make_consistent_model
+from conftest import make_consistent_model
 
 SEED = 1
 MC_SAMPLES = 30_000
@@ -139,7 +140,7 @@ def test_c4_kalman_dense_equivalence():
             )
         obs = ObservationSet(indices=idx, values=values, noise_var=noise)
         dense = dense_mmse(cov, obs)
-        kalman = kalman_smooth(build_state_space(model), lag_toeplitz_prior(model), obs, n)
+        kalman = kalman_smooth(build_state_space(model), stationary_covariance(model), obs, n)
         scale = max(float(np.abs(dense.means).max()), 1e-12)
         worst_mean = max(worst_mean, float(np.abs(dense.means - kalman.means).max()) / scale)
         worst_var = max(worst_var, float(np.abs(dense.variances - kalman.variances).max()))
@@ -198,7 +199,7 @@ def test_c6_strategy_ordering():
         spectrum = eigen_spectrum(cov)
         fitted = fit_clarke_model(model, 20)
         space = build_state_space(fitted)
-        prior = lag_toeplitz_prior(fitted)
+        prior = stationary_covariance(fitted)
         truths = sample_exact(spectrum, (SEED, 510, n), trials)
         oracle = {s: np.empty(trials) for s in strategies}
         kalman_mean = {}
@@ -264,7 +265,7 @@ def _median_time(fn, repeats=3):
 def test_c8_complexity_scaling():
     model = fit_clarke_model(ClarkeModel(W=2.0, N=100), 20)
     space = build_state_space(model)
-    prior = lag_toeplitz_prior(model)
+    prior = stationary_covariance(model)
     sizes = np.array([1_000, 4_000, 16_000])
     kalman_times = []
     for n in sizes:

@@ -2,7 +2,6 @@ import json
 
 import numpy as np
 import pytest
-from scipy.linalg import toeplitz
 
 from faschan.arfit import fit_clarke_model
 from faschan.cli import main
@@ -15,6 +14,7 @@ from faschan.interpolation import (
     kalman_smooth,
     nmse,
     port_select,
+    stationary_covariance,
 )
 from faschan.rng import complex_standard_normal, derive, make_rng
 
@@ -219,7 +219,7 @@ class TestBench:
         cov = build_covariance(model)
         fitted = fit_clarke_model(model, 3)
         space = build_state_space(fitted)
-        prior = toeplitz(np.conj(fitted.source_lags[:3]), fitted.source_lags[:3])
+        prior = stationary_covariance(fitted)
         truths = sample_exact(eigen_spectrum(cov), derive(seed, n), trials)
         expected = []
         for s_idx, strategy in enumerate(strategies):

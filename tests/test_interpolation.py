@@ -1,6 +1,7 @@
+import math
+
 import numpy as np
 import pytest
-from scipy.linalg import toeplitz
 
 from faschan.arfit import arp_induced_covariance, check_stability, fit_clarke_model, yule_walker_fit
 from faschan.correlation import (
@@ -27,7 +28,7 @@ from faschan.interpolation import (
 )
 from faschan.rng import complex_standard_normal, make_rng
 
-from conftest import lag_toeplitz_prior, make_consistent_model
+from conftest import burned_in_oracle, make_consistent_model
 
 
 class TestObservationSet:
@@ -152,26 +153,26 @@ class TestStateSpace:
 class TestStationaryCovariance:
     def test_ar1_geometric_series(self):
         model = yule_walker_fit([1.0, 0.6])
-        pinf = stationary_covariance(build_state_space(model))
+        pinf = stationary_covariance(model)
         assert pinf[0, 0].real == pytest.approx(model.sigma_eps2 / (1 - 0.36), rel=1e-12)
 
     def test_white_process_ar1_returns_q(self):
         model = yule_walker_fit([0.8, 0.0])
         ss = build_state_space(model)
-        np.testing.assert_allclose(stationary_covariance(ss), ss.Q, atol=1e-14)
+        np.testing.assert_allclose(stationary_covariance(model), ss.Q, atol=1e-14)
 
     def test_white_process_higher_order_is_diagonal(self):
         # zero coefficients still shift history, so every slot carries the
         # innovation variance
         model = make_consistent_model(3, roots=[0.0, 0.0, 0.0])
-        ss = build_state_space(model)
-        pinf = stationary_covariance(ss)
+        pinf = stationary_covariance(model)
         np.testing.assert_allclose(pinf, model.sigma_eps2 * np.eye(3), atol=1e-12)
 
     def test_residual_bound(self):
         for k in range(5):
-            ss = build_state_space(make_consistent_model(6, seed=(81, k)))
-            pinf = stationary_covariance(ss)
+            model = make_consistent_model(6, seed=(81, k))
+            ss = build_state_space(model)
+            pinf = stationary_covariance(model)
             residual = np.linalg.norm(pinf - ss.A @ pinf @ ss.A.conj().T - ss.Q)
             assert residual <= 1e-10 * np.linalg.norm(ss.Q) + 1e-12 * np.linalg.norm(pinf) * ss.p
 
@@ -181,29 +182,45 @@ class TestStationaryCovariance:
         ss = build_state_space(model)
         lhs = np.eye(16, dtype=complex) - np.kron(np.conj(ss.A), ss.A)
         expected = (np.linalg.inv(lhs) @ ss.Q.reshape(-1, order="F")).reshape(4, 4, order="F")
-        np.testing.assert_allclose(stationary_covariance(ss), expected, atol=1e-12)
+        np.testing.assert_allclose(stationary_covariance(model), expected, atol=1e-12)
 
     def test_top_row_matches_fitted_lags(self):
         # consistent fits carry their lag sequence in the stationary state
         model = yule_walker_fit(
             make_consistent_model(8, seed=(81, 20), max_mod=0.7).source_lags
         )
-        pinf = stationary_covariance(build_state_space(model))
+        pinf = stationary_covariance(model)
         np.testing.assert_allclose(pinf[0, :], model.source_lags[:8], atol=1e-8)
 
-    def test_spectral_radius_validated(self):
-        from faschan.interpolation import StateSpace
+    @pytest.mark.parametrize(
+        "case",
+        ["toy", (5.0, 200, 37), (2.0, 100, 20), (2.0, 50, 20)],
+        ids=["toy", "W5N200p37", "W2N100p20", "W2N50p20"],
+    )
+    def test_matches_burned_in_law(self, complex_root_model, case):
+        # a burn-in of 14 / margin steps leaves a transient below e^-28
+        if case == "toy":
+            model = complex_root_model
+        else:
+            w, n, p = case
+            model = fit_clarke_model(ClarkeModel(W=w, N=n), p)
+        oracle = burned_in_oracle(model, math.ceil(14 / check_stability(model).margin))
+        pinf = stationary_covariance(model).astype(np.clongdouble)
+        assert np.linalg.norm(pinf - oracle) <= 1e-6 * np.linalg.norm(oracle)
 
-        ss = StateSpace(A=np.array([[1.0 + 0j]]), Q=np.array([[1.0 + 0j]]), H=np.array([1.0 + 0j]))
-        with pytest.raises(ValueError):
-            stationary_covariance(ss)
+    def test_spectral_radius_validated(self):
+        from faschan.arfit import ArpModel
+
+        bad = ArpModel(alpha=np.array([1.0 + 0j]), sigma_eps2=1.0, p=1, source_lags=np.array([1.0, 0.9 + 0j]))
+        with pytest.raises(UnstableModelError):
+            stationary_covariance(bad)
 
 
 class TestKalmanSmooth:
     def test_full_observation_reproduces_data(self):
         model = make_consistent_model(4, seed=(82, 0))
         ss = build_state_space(model)
-        prior = lag_toeplitz_prior(model)
+        prior = stationary_covariance(model)
         truth = sample_exact(eigen_spectrum(arp_induced_covariance(model, 40)), (82, 1), 1)[0]
         obs = ObservationSet(indices=np.arange(1, 41), values=truth, noise_var=0.0)
         result = kalman_smooth(ss, prior, obs, 40)
@@ -227,7 +244,7 @@ class TestKalmanSmooth:
                 values = values + np.sqrt(noise) * complex_standard_normal(make_rng((86, trial)), m)
             obs = ObservationSet(indices=idx, values=values, noise_var=noise)
             dense = dense_mmse(cov, obs)
-            kalman = kalman_smooth(build_state_space(model), lag_toeplitz_prior(model), obs, n)
+            kalman = kalman_smooth(build_state_space(model), stationary_covariance(model), obs, n)
             scale = max(np.abs(dense.means).max(), 1e-12)
             assert np.abs(dense.means - kalman.means).max() <= 1e-6 * scale
             assert np.abs(dense.variances - kalman.variances).max() <= 1e-6 * model.r0
@@ -237,7 +254,7 @@ class TestKalmanSmooth:
         c = 0.8
         model = yule_walker_fit([1.0, c])
         ss = build_state_space(model)
-        prior = lag_toeplitz_prior(model)
+        prior = stationary_covariance(model)
         n, mid = 21, 11
         obs = ObservationSet(indices=[mid], values=[0.7 - 0.2j], noise_var=0.0)
         result = kalman_smooth(ss, prior, obs, n)
@@ -251,7 +268,7 @@ class TestKalmanSmooth:
         model = make_consistent_model(2, seed=(87, 0))
         obs = ObservationSet(indices=[11], values=[0j])
         with pytest.raises(ValueError):
-            kalman_smooth(build_state_space(model), lag_toeplitz_prior(model), obs, 10)
+            kalman_smooth(build_state_space(model), stationary_covariance(model), obs, 10)
 
 
 class TestStackedReconstruction:
@@ -272,7 +289,7 @@ class TestStackedReconstruction:
     def test_rows_match_single_vector_calls(self):
         for model, cov, n, idx, noise in self._cases():
             values = complex_standard_normal(make_rng((88, 2, n)), (self.ROWS, idx.size))
-            space, prior = build_state_space(model), lag_toeplitz_prior(model)
+            space, prior = build_state_space(model), stationary_covariance(model)
             routes = (lambda o: dense_mmse(cov, o), lambda o: kalman_smooth(space, prior, o, n))
             for route in routes:
                 stacked = route(ObservationSet(indices=idx, values=values, noise_var=noise))

@@ -11,7 +11,7 @@ from faschan.rng import complex_standard_normal, make_rng
 from faschan.selection_gain import empirical_cdf_max_gain, smc_cdf, systematic_resample
 from faschan.stats import isotonic_non_decreasing, max_gain
 
-from conftest import make_consistent_model
+from conftest import burned_in_oracle, make_consistent_model
 
 
 class TestEmpiricalCdf:
@@ -166,32 +166,6 @@ class TestSmcCdf:
             finally:
                 tracemalloc.stop()
         assert peaks[1] == pytest.approx(peaks[0], rel=0.1)
-
-
-def burned_in_oracle(model, B) -> np.ndarray:
-    """Covariance of [g_{B+p}, ..., g_{B+1}] from zeros, in long double.
-
-    sigma_eps2 H H^H with row a of H the impulse response shifted right by a.
-    """
-    p, steps = model.p, B + model.p
-    alpha = model.alpha.astype(np.clongdouble)
-    # p - 1 leading zeros, then h_0 .. h_{steps-1}
-    h = np.zeros(p - 1 + steps, dtype=np.clongdouble)
-    h[p - 1] = 1
-    for k in range(1, steps):
-        h[p - 1 + k] = np.sum(alpha * h[k - 1 : p - 1 + k][::-1])
-    H = np.zeros((p, steps), dtype=np.clongdouble)
-    for a in range(p):
-        H[a, a:] = h[p - 1 : p - 1 + steps - a]
-    return np.clongdouble(model.sigma_eps2) * (H @ H.conj().T)
-
-
-@pytest.fixture(scope="module")
-def complex_root_model():
-    # roots off the real axis give a covariance with large imaginary parts,
-    # which a missing conjugate or a transposed factor cannot reproduce
-    roots = [0.8 * np.exp(0.9j), 0.7 * np.exp(-2.0j), 0.6 * np.exp(2.5j)]
-    return make_consistent_model(3, roots=roots)
 
 
 class TestBurnedInLaw:
