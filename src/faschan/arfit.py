@@ -231,11 +231,12 @@ def select_order(
     """Pick the AR order whose simulated selection-gain CDF is KS-closest to exact.
 
     One exact-model reference sample and one independent simulated sample
-    per stable candidate order, all of size ``mc_samples``; unstable orders
-    are excluded.  Ties within TIE_TOL of the best distance go to the
+    per stable candidate order, all of size ``mc_samples``; a candidate
+    keeps only its simulated rows' max gains.  Unstable orders are
+    excluded.  Ties within TIE_TOL of the best distance go to the
     smallest order.
     """
-    from .generator import SimulationConfig, simulate_batch
+    from .generator import SimulationConfig, simulate_max_gains
 
     if not 1 <= p_max <= model.N:
         raise ValueError(f"p_max must be in [1, N], got {p_max}")
@@ -250,7 +251,7 @@ def select_order(
         if not check_stability(fitted).stable:
             return p, None
         config = SimulationConfig(N=model.N, B=burn_in_factor * model.N, seed=derive(seed, _CANDIDATE_BRANCH, p))
-        gains = max_gain(simulate_batch(fitted, config, mc_samples))
+        gains = simulate_max_gains(fitted, config, mc_samples)
         return p, ks_distance(reference, gains)
 
     orders = range(1, p_max + 1)

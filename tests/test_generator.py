@@ -6,9 +6,10 @@ import pytest
 from faschan.arfit import ArpModel, fit_clarke_model, yule_walker_fit
 from faschan.correlation import ClarkeModel
 from faschan.errors import UnstableModelError
-from faschan.generator import CHUNK_ROWS, SimulationConfig, simulate, simulate_batch
+from faschan.generator import CHUNK_ROWS, SimulationConfig, simulate, simulate_batch, simulate_max_gains
+from faschan.stats import max_gain
 
-from conftest import make_consistent_model
+from conftest import impulse_response, make_consistent_model
 
 
 def lag_estimate(batch, lag):
@@ -32,12 +33,24 @@ class TestSimulate:
         config = SimulationConfig(N=50, B=100, seed=9)
         np.testing.assert_array_equal(simulate(model, config), simulate(model, config))
 
-    def test_burn_in_discards_prefix(self):
-        # same stream: the B+N run's tail equals the (B, N) run's output
-        model = yule_walker_fit([1.0, 0.5])
-        full = simulate(model, SimulationConfig(N=150, B=0, seed=4))
-        trimmed = simulate(model, SimulationConfig(N=50, B=100, seed=4))
-        np.testing.assert_array_equal(full[100:], trimmed)
+    @pytest.mark.parametrize("B, N", [(0, 5), (1, 5), (2, 2), (50, 6)])
+    def test_kept_block_follows_the_burned_in_law(self, complex_root_model, B, N):
+        # the kept block is ports B+1..B+N of the recursion from zeros: port
+        # B+1+a = sum_j h_{B+1+a-j} eps_j, so its law is CN(0, sigma_eps2 H H^H)
+        # with H the N x (B+N) shifted impulse response; N=2 < p covers a
+        # block cut from the start state alone
+        model, count = complex_root_model, 20_000
+        h = impulse_response(model, B + N)
+        H = np.zeros((N, B + N), dtype=np.clongdouble)
+        for a in range(N):
+            H[a, : B + 1 + a] = h[B + a :: -1]
+        oracle = (np.clongdouble(model.sigma_eps2) * (H @ H.conj().T)).astype(complex)
+        batch = simulate_batch(model, SimulationConfig(N=N, B=B, seed=(66, B, N)), count)
+        sample = batch.T @ batch.conj() / count
+        # circular Gaussian: Var(x_a conj(x_b)) = Sigma_aa Sigma_bb
+        d = np.real(np.diag(oracle))
+        stderr = np.sqrt(np.outer(d, d) / count)
+        assert np.all(np.abs(sample - oracle) <= 5 * stderr)
 
     def test_unstable_refused(self):
         bad = ArpModel(alpha=np.array([1.5 + 0j]), sigma_eps2=1.0, p=1, source_lags=np.array([1.0, 0.9 + 0j]))
@@ -65,16 +78,22 @@ class TestSimulateBatch:
         solo = simulate(model, SimulationConfig(N=40, B=20, seed=(13, 0)))
         np.testing.assert_array_equal(batch[0], solo)
 
-    def test_rows_reproducible_in_isolation(self):
-        model = yule_walker_fit([1.0, 0.3])
-        config = SimulationConfig(N=25, B=10, seed=6)
+    @pytest.mark.parametrize("case", ["toy", "production_fit"])
+    def test_rows_reproducible_in_isolation(self, case):
+        # the production fit (p=37) has a dense start factor, whose product a
+        # shared gemm would round differently from a lone row's
+        if case == "toy":
+            model, N, B = yule_walker_fit([1.0, 0.3]), 25, 10
+        else:
+            model, N, B = fit_clarke_model(ClarkeModel(W=5.0, N=200), 37), 200, 1000
+        config = SimulationConfig(N=N, B=B, seed=6)
         batch = simulate_batch(model, config, 5)
-        row3 = simulate(model, SimulationConfig(N=25, B=10, seed=(6, 3)))
+        row3 = simulate(model, SimulationConfig(N=N, B=B, seed=(6, 3)))
         np.testing.assert_array_equal(batch[3], row3)
         # rows on both sides of a chunk boundary, including the short last chunk
         batch = simulate_batch(model, config, CHUNK_ROWS + 3)
         for row in (0, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 2):
-            solo = simulate(model, SimulationConfig(N=25, B=10, seed=(6, row)))
+            solo = simulate(model, SimulationConfig(N=N, B=B, seed=(6, row)))
             np.testing.assert_array_equal(batch[row], solo)
 
     def test_working_memory_independent_of_count(self):
@@ -134,3 +153,28 @@ class TestSimulateBatch:
         model = yule_walker_fit([1.0, 0.2])
         with pytest.raises(ValueError):
             simulate_batch(model, SimulationConfig(N=5, B=0, seed=0), 0)
+
+
+class TestSimulateMaxGains:
+    def test_bit_identical_to_reducing_the_batch(self):
+        model = make_consistent_model(3, seed=(67, 0), max_mod=0.8)
+        config = SimulationConfig(N=12, B=24, seed=5)
+        count = CHUNK_ROWS + 3
+        np.testing.assert_array_equal(
+            simulate_max_gains(model, config, count), max_gain(simulate_batch(model, config, count))
+        )
+
+    def test_working_memory_independent_of_count(self):
+        # only the (count,) gains outlive each chunk
+        model = yule_walker_fit([1.0, 0.3])
+        config = SimulationConfig(N=8, B=8, seed=3)
+        extra = []
+        for count in (2 * CHUNK_ROWS, 4 * CHUNK_ROWS):
+            tracemalloc.start()
+            try:
+                gains = simulate_max_gains(model, config, count)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            extra.append(peak - gains.nbytes)
+        assert extra[1] == pytest.approx(extra[0], rel=0.1)
