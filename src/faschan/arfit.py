@@ -167,11 +167,11 @@ def unit_noise_gain(alpha: np.ndarray) -> float:
     return float(np.mean(_inverse_power(alpha)))
 
 
-def fit_clarke_model(model: ClarkeModel, p: int, window_factor: int = _WINDOW_FACTOR) -> ArpModel:
+def fit_clarke_model(model: ClarkeModel, p: int) -> ArpModel:
     """Order-p fit matched to the model's correlation over an aperture window.
 
     The recursion r(l) = sum_i a_i r(l-i) is imposed in least squares over
-    lags l = 1..min(window_factor*p, N-1) rather than only the first p, which
+    lags l = 1..min(_WINDOW_FACTOR*p, N-1) rather than only the first p, which
     pins down the coefficient components the rank-deficient normal equations
     leave free and keeps the induced long-range correlation on target.  The
     innovation variance is then normalized so the stationary per-port
@@ -179,7 +179,7 @@ def fit_clarke_model(model: ClarkeModel, p: int, window_factor: int = _WINDOW_FA
     """
     if not 1 <= p <= model.N - 1:
         raise ValueError(f"p must be in [1, N-1], got {p}")
-    L = min(window_factor * p, model.N - 1)
+    L = min(_WINDOW_FACTOR * p, model.N - 1)
     lags = np.array(
         [clarke_autocorrelation(lag, model) for lag in range(L + 1)], dtype=np.complex128
     )
@@ -238,8 +238,8 @@ def select_order(
     """
     from .generator import SimulationConfig, simulate_max_gains
 
-    if not 1 <= p_max <= model.N:
-        raise ValueError(f"p_max must be in [1, N], got {p_max}")
+    if not 1 <= p_max <= model.N - 1:
+        raise ValueError(f"p_max must be in [1, N-1], got {p_max}")
     if mc_samples < 1000:
         raise ValueError(f"mc_samples must be >= 1000, got {mc_samples}")
 

@@ -5,9 +5,15 @@ correlation surrogate, ``generate`` for realizations, ``cdf`` for the
 selection-gain curves, ``interpolate`` / ``bench`` / ``bound`` for the
 reconstruction experiments.  Every command is deterministic given its
 parameters and seed; ``--no-meta`` suppresses the one timestamp header line
-so reruns are byte-identical.  Flags override ``--config`` JSON values,
-which override built-in defaults.  Exit codes: 0 success, 1 numerical or
-runtime failure, 2 usage error.
+so reruns are byte-identical.
+
+Every parameter is declared once, in ``_PARAMS``: its converter, built-in
+default, help text and the subcommands that take it.  A value comes from its
+flag, else from the ``--config`` JSON file, else from the default, and each
+passes through the same converter: a config value is read as the text JSON
+writes for it, so it is converted and validated exactly as that text given
+as a flag would be.  ``--format`` (json or csv) belongs to ``select-order``
+alone.  Exit codes: 0 success, 1 numerical or runtime failure, 2 usage error.
 """
 
 from __future__ import annotations
@@ -17,7 +23,9 @@ import json
 import os
 import sys
 import time
+from dataclasses import dataclass
 from datetime import datetime, timezone
+from typing import Callable
 
 import numpy as np
 
@@ -27,20 +35,6 @@ from .rng import complex_standard_normal, derive, make_rng
 from .stats import max_gain
 
 _STRATEGIES = ("random", "uniform_endpoints", "uniform_interior")
-
-# built-in values, filled in after --config for parameters still unset;
-# argparse leaves every parameter None so the config can tell "absent" apart
-_COMMON_DEFAULTS = {"seed": 0, "out": "-", "no_meta": False, "sigma2": 1.0}
-_SELECTION_DEFAULTS = {"mc": 30_000, "burn": 5}
-_COMMAND_DEFAULTS = {
-    "fit": _SELECTION_DEFAULTS,
-    "select-order": _SELECTION_DEFAULTS,
-    "generate": {"burn": 5},
-    "cdf": {**_SELECTION_DEFAULTS, "J": 10_000, "ess_ratio": 0.5, "t_quantile_grid": 40},
-    "interpolate": {**_SELECTION_DEFAULTS, "sigma_v2": 0.0},
-    "bench": {"trials": 100, "sigma_v2": 0.0, "strategies": ",".join(_STRATEGIES)},
-    "bound": {**_SELECTION_DEFAULTS, "trials": 500, "strategy": "uniform_endpoints"},
-}
 
 
 def max_workers() -> int:
@@ -94,24 +88,124 @@ def _write_text(path: str, text: str):
 
 
 # ---------------------------------------------------------------------------
-# shared parameter plumbing
+# parameters: one declaration each, one conversion path
 
-def _merge_config(args):
-    """Fill argparse Namespace gaps from the --config JSON file, then from built-ins."""
-    if getattr(args, "config", None):
+def _comma_list(item: Callable[[str], object]) -> Callable[[str], list]:
+    return lambda text: [item(part) for part in text.split(",") if part != ""]
+
+
+def _choice(*choices: str) -> Callable[[str], str]:
+    def convert(text: str) -> str:
+        if text not in choices:
+            raise ValueError(f"must be one of {choices}")
+        return text
+
+    return convert
+
+
+def _switch(text: str) -> bool:
+    return _choice("true", "false")(text) == "true"
+
+
+_strategy = _choice(*_STRATEGIES)
+
+
+def _strategy_list(text: str) -> list[str]:
+    strategies = [_strategy(part.strip()) for part in text.split(",")]
+    if len(set(strategies)) != len(strategies):
+        raise ValueError("names a strategy twice")
+    return strategies
+
+
+def _linear_grid(text: str) -> np.ndarray:
+    start, stop, count = text.split(":")
+    if int(count) < 1:
+        raise ValueError("count must be >= 1")
+    return np.linspace(float(start), float(stop), int(count))
+
+
+@dataclass(frozen=True)
+class _Param:
+    """A parameter: attribute and config key ``name``, its converter from
+    text, its default as text (None: none), its help and its subcommands."""
+
+    name: str
+    convert: Callable[[str], object]
+    default: "str | None"
+    help: str
+    commands: tuple[str, ...]
+
+    @property
+    def flag(self) -> str:
+        return "--" + self.name.replace("_", "-")
+
+
+_ALL = ("fit", "select-order", "generate", "cdf", "interpolate", "bench", "bound")
+_SELECTING = ("fit", "select-order", "interpolate", "bound")
+
+# a name may appear twice, with disjoint subcommands
+_PARAMS = (
+    _Param("W", float, None, "aperture length in wavelengths", _ALL),
+    _Param("N", int, None, "port count", tuple(c for c in _ALL if c != "bench")),
+    _Param("N", _comma_list(int), None, "comma list of port counts", ("bench",)),
+    _Param("p", int, None, "surrogate order", ("fit", "generate", "interpolate", "bench", "bound")),
+    _Param("p", _comma_list(int), None, "order or comma list of orders", ("cdf",)),
+    _Param("p_max", int, None, "select the order up to this one", _SELECTING),
+    _Param("mc", int, "30000", "Monte-Carlo samples per CDF", (*_SELECTING, "cdf")),
+    _Param("burn", int, "5", "burn-in length as a multiple of N", (*_SELECTING, "generate", "cdf")),
+    _Param("count", int, None, "realizations to emit", ("generate",)),
+    _Param("J", int, "10000", "particle count", ("cdf",)),
+    _Param("ess_ratio", float, "0.5", "resample below this ESS fraction", ("cdf",)),
+    _Param("t_grid", _linear_grid, None, "linear grid start:stop:count", ("cdf",)),
+    _Param("t_quantile_grid", int, "40",
+           "grid size drawn from pilot exact-sample quantiles, without --t-grid", ("cdf",)),
+    _Param("M", int, None, "observed port count", ("interpolate", "bench")),
+    _Param("ratio", float, None, "observation fraction M/N, without --M", ("bench",)),
+    _Param("strategy", _strategy, None, "port selection strategy", ("interpolate",)),
+    _Param("strategy", _strategy, "uniform_endpoints", "port selection strategy", ("bound",)),
+    _Param("strategies", _strategy_list, ",".join(_STRATEGIES), "comma list of strategies", ("bench",)),
+    _Param("trials", int, "100", "trials per strategy and size", ("bench",)),
+    _Param("trials", int, "500", "trials per observation count", ("bound",)),
+    _Param("eps", _comma_list(float), None, "comma list of NMSE targets", ("bound",)),
+    _Param("sigma_v2", float, "0.0", "measurement noise variance", ("interpolate", "bench")),
+    _Param("sigma2", float, "1.0", "per-port variance", _ALL),
+    _Param("seed", int, "0", "stream seed", _ALL),
+    _Param("out", str, "-", "output path, '-' for stdout", _ALL),
+    _Param("format", _choice("json", "csv"), "json", "output format", ("select-order",)),
+    _Param("no_meta", _switch, "false", "omit the timestamp header", _ALL),
+)
+
+
+def _params(command: str) -> dict[str, _Param]:
+    return {param.name: param for param in _PARAMS if command in param.commands}
+
+
+def _resolve(args):
+    """Set each parameter from its flag, else the --config file, else its
+    default, through its converter; one with none of the three stays None."""
+    params = _params(args.command)
+    config = {}
+    if args.config:
         with open(args.config, encoding="utf-8") as fh:
             values = json.load(fh)
         if not isinstance(values, dict):
             raise ValueError("--config must hold a JSON object")
         for key, value in values.items():
-            attr = key.replace("-", "_")
-            if not hasattr(args, attr):
+            name = key.replace("-", "_")
+            if name not in params:
                 raise ValueError(f"unknown config key {key!r}")
-            if getattr(args, attr) is None:
-                setattr(args, attr, value)
-    for attr, value in {**_COMMON_DEFAULTS, **_COMMAND_DEFAULTS[args.command]}.items():
-        if getattr(args, attr) is None:
-            setattr(args, attr, value)
+            config[name] = value if isinstance(value, str) else json.dumps(value)
+    for name, param in params.items():
+        text = getattr(args, name)
+        if text is None:
+            text = config.get(name, param.default)
+        value = None
+        if text is not None:
+            try:
+                value = param.convert(text)
+            except ValueError as exc:
+                raise ValueError(f"invalid {param.flag} value {text!r}: {exc}") from None
+        setattr(args, name, value)
 
 
 def _require(args, names):
@@ -120,17 +214,20 @@ def _require(args, names):
             raise ValueError(f"missing required parameter --{name.replace('_', '-')}")
 
 
+# ---------------------------------------------------------------------------
+# shared steps
+
 def _clarke(args) -> correlation.ClarkeModel:
-    return correlation.ClarkeModel(W=float(args.W), N=int(args.N), sigma2=float(args.sigma2))
+    return correlation.ClarkeModel(W=args.W, N=args.N, sigma2=args.sigma2)
 
 
 def _select_order(args, model) -> arfit.OrderSelectionResult:
     return arfit.select_order(
         model,
-        p_max=int(args.p_max),
-        mc_samples=int(args.mc),
-        burn_in_factor=int(args.burn),
-        seed=int(args.seed),
+        p_max=args.p_max,
+        mc_samples=args.mc,
+        burn_in_factor=args.burn,
+        seed=args.seed,
         workers=max_workers(),
     )
 
@@ -138,39 +235,59 @@ def _select_order(args, model) -> arfit.OrderSelectionResult:
 def _fit_model(args, model) -> "tuple[arfit.ArpModel, arfit.OrderSelectionResult | None]":
     """The surrogate at --p, or at the order selected up to --p-max (with its selection)."""
     if args.p is not None:
-        return arfit.fit_clarke_model(model, int(args.p)), None
+        return arfit.fit_clarke_model(model, args.p), None
     if args.p_max is None:
         raise ValueError("either --p or --p-max is required")
     selection = _select_order(args, model)
     return arfit.fit_clarke_model(model, selection.p_star), selection
 
 
-def _int_list(text) -> list[int]:
-    return [int(part) for part in str(text).split(",") if part != ""]
-
-
-def _float_list(text) -> list[float]:
-    return [float(part) for part in str(text).split(",") if part != ""]
-
-
-def _threshold_grid(args, spectrum, seed) -> np.ndarray:
+def _threshold_grid(args, spectrum) -> np.ndarray:
     """The --t-grid, or quantiles of a pilot exact sample drawn from ``spectrum``."""
-    if args.t_grid:
-        start, stop, count = str(args.t_grid).split(":")
-        if int(count) < 1:
-            raise ValueError("--t-grid count must be >= 1")
-        return np.linspace(float(start), float(stop), int(count))
-    count = int(args.t_quantile_grid)
+    if args.t_grid is not None:
+        return args.t_grid
+    count = args.t_quantile_grid
     if count < 1:
         raise ValueError("--t-quantile-grid must be >= 1")
     pilot_n = 4000
-    gains = max_gain(correlation.sample_exact(spectrum, derive(seed, 90), pilot_n))
+    gains = max_gain(correlation.sample_exact(spectrum, derive(args.seed, 90), pilot_n))
     probs = (np.arange(count) + 0.5) / count
     return np.quantile(gains, probs)
 
 
 def _lag_prior(model: arfit.ArpModel) -> np.ndarray:
     return interpolation.stationary_covariance(model)
+
+
+def _estimators(model: correlation.ClarkeModel, fitted: "arfit.ArpModel | None"):
+    """The exact covariance and the two reconstructions of ``model``'s ports.
+
+    Returns ``(cov, oracle, kalman)``: ``oracle(obs)`` conditions on the
+    exact covariance, ``kalman(obs)`` smooths on the fitted surrogate's state
+    space from its stationary prior, and is None without a surrogate.
+    """
+    cov = correlation.build_covariance(model)
+
+    def oracle(obs):
+        return interpolation.dense_mmse(cov, obs)
+
+    if fitted is None:
+        return cov, oracle, None
+    space = interpolation.build_state_space(fitted)
+    prior = _lag_prior(fitted)
+
+    def kalman(obs):
+        return interpolation.kalman_smooth(space, prior, obs, model.N)
+
+    return cov, oracle, kalman
+
+
+def _observed_values(truth, indices, sigma_v2, seed) -> np.ndarray:
+    """One draw's values at the observed ports, with its own measurement noise."""
+    values = truth[indices - 1]
+    if sigma_v2 > 0:
+        values = values + np.sqrt(sigma_v2) * complex_standard_normal(make_rng(seed), indices.size)
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -215,11 +332,9 @@ def cmd_select_order(args) -> int:
 def cmd_generate(args) -> int:
     _require(args, ["W", "N", "p", "count"])
     model = _clarke(args)
-    fitted = arfit.fit_clarke_model(model, int(args.p))
-    config = generator.SimulationConfig(
-        N=model.N, B=int(args.burn) * model.N, seed=int(args.seed)
-    )
-    batch = generator.simulate_batch(fitted, config, int(args.count))
+    fitted = arfit.fit_clarke_model(model, args.p)
+    config = generator.SimulationConfig(N=model.N, B=args.burn * model.N, seed=args.seed)
+    batch = generator.simulate_batch(fitted, config, args.count)
     rows = [
         (i, k + 1, batch[i, k].real, batch[i, k].imag)
         for i in range(batch.shape[0])
@@ -232,35 +347,32 @@ def cmd_generate(args) -> int:
 def cmd_cdf(args) -> int:
     _require(args, ["W", "N", "p"])
     model = _clarke(args)
-    orders = _int_list(args.p)
-    seed = int(args.seed)
-    mc = int(args.mc)
-    j_particles = int(args.J)
-    burn = int(args.burn)
+    orders = args.p
+    seed = args.seed
     spectrum = correlation.eigen_spectrum(correlation.build_covariance(model))
-    grid = _threshold_grid(args, spectrum, seed)
+    grid = _threshold_grid(args, spectrum)
     exact = selection_gain.empirical_cdf_max_gain(
-        correlation.sample_exact(spectrum, derive(seed, 0), mc), grid
+        correlation.sample_exact(spectrum, derive(seed, 0), args.mc), grid
     )
     rows = []
     for p in orders:
         fitted = arfit.fit_clarke_model(model, p)
-        config = generator.SimulationConfig(N=model.N, B=burn * model.N, seed=derive(seed, 1, p))
+        config = generator.SimulationConfig(N=model.N, B=args.burn * model.N, seed=derive(seed, 1, p))
         direct = selection_gain.empirical_cdf_max_gain(
-            generator.simulate_batch(fitted, config, mc), grid
+            generator.simulate_batch(fitted, config, args.mc), grid
         )
         smc = selection_gain.smc_cdf(
             fitted,
             model.N,
             grid,
-            J=j_particles,
-            ess_ratio=float(args.ess_ratio),
+            J=args.J,
+            ess_ratio=args.ess_ratio,
             seed=derive(seed, 2, p),
-            burn_in_factor=burn,
+            burn_in_factor=args.burn,
             workers=max_workers(),
         )
         for i, t in enumerate(grid):
-            row = (t, exact.values[i], direct.values[i], smc.values[i], j_particles, seed)
+            row = (t, exact.values[i], direct.values[i], smc.values[i], args.J, seed)
             rows.append(row if len(orders) == 1 else (p, *row))
     header = ["threshold", "f_exact_mc", "f_ar_direct_mc", "f_smc", "J", "seed"]
     if len(orders) > 1:
@@ -269,80 +381,32 @@ def cmd_cdf(args) -> int:
     return 0
 
 
-def _observed_values(truth, indices, sigma_v2, seed) -> np.ndarray:
-    """One draw's values at the observed ports, with its own measurement noise."""
-    values = truth[indices - 1]
-    if sigma_v2 > 0:
-        values = values + np.sqrt(sigma_v2) * complex_standard_normal(make_rng(seed), indices.size)
-    return values
-
-
-def _reconstruction_pair(cov, space, prior, n, indices, values, sigma_v2):
-    """Oracle (exact prior) and Kalman (fitted prior) reconstructions of the
-    value rows observed at ``indices``, plus the smoother's wall time."""
-    obs = interpolation.ObservationSet(indices=indices, values=values, noise_var=sigma_v2)
-    oracle = interpolation.dense_mmse(cov, obs)
-    t0 = time.perf_counter()
-    kalman = interpolation.kalman_smooth(space, prior, obs, n)
-    return oracle, kalman, time.perf_counter() - t0
-
-
 def cmd_interpolate(args) -> int:
     _require(args, ["W", "N", "M", "strategy"])
     model = _clarke(args)
-    if not 1 <= int(args.M) <= model.N:
+    if not 1 <= args.M <= model.N:
         raise ValueError(f"M must be in [1, N], got {args.M}")
-    if args.strategy not in _STRATEGIES:
-        raise ValueError(f"strategy must be one of {_STRATEGIES}")
     fitted, _ = _fit_model(args, model)
-    seed = int(args.seed)
-    cov = correlation.build_covariance(model)
+    seed = args.seed
+    cov, oracle, kalman = _estimators(model, fitted)
     spectrum = correlation.eigen_spectrum(cov)
     truth = correlation.sample_exact(spectrum, derive(seed, 0), 1)[0]
-    indices = interpolation.port_select(args.strategy, model.N, int(args.M), derive(seed, 1))
-    sigma_v2 = float(args.sigma_v2)
-    oracle, kalman, _ = _reconstruction_pair(
-        cov,
-        interpolation.build_state_space(fitted),
-        _lag_prior(fitted),
-        model.N,
-        indices,
-        _observed_values(truth, indices, sigma_v2, derive(seed, 2)),
-        sigma_v2,
-    )
+    indices = interpolation.port_select(args.strategy, model.N, args.M, derive(seed, 1))
+    values = _observed_values(truth, indices, args.sigma_v2, derive(seed, 2))
+    obs = interpolation.ObservationSet(indices=indices, values=values, noise_var=args.sigma_v2)
+    by_oracle = oracle(obs)
+    by_kalman = kalman(obs)
     observed = np.zeros(model.N, dtype=int)
     observed[indices - 1] = 1
     rows = [
-        (
-            k + 1,
-            observed[k],
-            truth[k].real,
-            truth[k].imag,
-            kalman.means[k].real,
-            kalman.means[k].imag,
-            kalman.variances[k],
-            oracle.means[k].real,
-            oracle.means[k].imag,
-            oracle.variances[k],
-        )
+        (k + 1, observed[k], truth[k].real, truth[k].imag,
+         by_kalman.means[k].real, by_kalman.means[k].imag, by_kalman.variances[k],
+         by_oracle.means[k].real, by_oracle.means[k].imag, by_oracle.variances[k])
         for k in range(model.N)
     ]
-    _write_csv(
-        args,
-        [
-            "port_index",
-            "observed",
-            "truth_re",
-            "truth_im",
-            "kalman_re",
-            "kalman_im",
-            "kalman_var",
-            "oracle_re",
-            "oracle_im",
-            "oracle_var",
-        ],
-        rows,
-    )
+    header = ["port_index", "observed", "truth_re", "truth_im", "kalman_re", "kalman_im",
+              "kalman_var", "oracle_re", "oracle_im", "oracle_var"]
+    _write_csv(args, header, rows)
     return 0
 
 
@@ -350,71 +414,47 @@ def cmd_bench(args) -> int:
     _require(args, ["W", "N", "p"])
     if args.ratio is None and args.M is None:
         raise ValueError("either --ratio or --M is required")
-    sizes = _int_list(args.N)
-    strategies = [s.strip() for s in str(args.strategies).split(",")]
-    for s in strategies:
-        if s not in _STRATEGIES:
-            raise ValueError(f"strategy must be one of {_STRATEGIES}, got {s!r}")
-    if len(set(strategies)) != len(strategies):
-        raise ValueError(f"--strategies names a strategy twice: {args.strategies!r}")
-    trials = int(args.trials)
-    sigma_v2 = float(args.sigma_v2)
-    seed = int(args.seed)
+    trials = args.trials
+    sigma_v2 = args.sigma_v2
+    seed = args.seed
     rows = []
-    for n in sizes:
-        model = correlation.ClarkeModel(W=float(args.W), N=n, sigma2=float(args.sigma2))
-        m_obs = int(args.M) if args.M is not None else max(2, round(float(args.ratio) * n))
+    for n in args.N:
+        model = correlation.ClarkeModel(W=args.W, N=n, sigma2=args.sigma2)
+        m_obs = args.M if args.M is not None else max(2, round(args.ratio * n))
         if m_obs > n:
             raise ValueError(f"M={m_obs} exceeds N={n}")
-        fitted = arfit.fit_clarke_model(model, int(args.p))
-        cov = correlation.build_covariance(model)
-        spectrum = correlation.eigen_spectrum(cov)
-        space = interpolation.build_state_space(fitted)
-        prior = _lag_prior(fitted)
-        truths = correlation.sample_exact(spectrum, derive(seed, n), trials)
-        for s_idx, strategy in enumerate(strategies):
+        cov, oracle, kalman = _estimators(model, arfit.fit_clarke_model(model, args.p))
+        truths = correlation.sample_exact(correlation.eigen_spectrum(cov), derive(seed, n), trials)
+        for s_idx, strategy in enumerate(args.strategies):
             patterns = [
                 interpolation.port_select(strategy, n, m_obs, derive(seed, n, s_idx, trial))
                 for trial in range(trials)
             ]
-            # trials that observe the same ports share one reconstruction call
-            groups: dict[bytes, list[int]] = {}
-            for trial, indices in enumerate(patterns):
-                groups.setdefault(indices.tobytes(), []).append(trial)
             nm_k = np.zeros(trials)
             nm_o = np.zeros(trials)
             t_kalman = np.zeros(trials)
-            for members in groups.values():
+            # trials that observe the same ports share one reconstruction call
+            for members in interpolation.group_by_pattern(patterns):
                 indices = patterns[members[0]]
                 values = np.array([
                     _observed_values(truths[t], indices, sigma_v2, derive(seed, n, s_idx, t, 1))
                     for t in members
                 ])
-                oracle, kalman, elapsed = _reconstruction_pair(
-                    cov, space, prior, n, indices, values, sigma_v2
-                )
-                t_kalman[members] = elapsed / len(members)
+                obs = interpolation.ObservationSet(indices=indices, values=values, noise_var=sigma_v2)
+                by_oracle = oracle(obs)
+                t0 = time.perf_counter()
+                by_kalman = kalman(obs)
+                t_kalman[members] = (time.perf_counter() - t0) / len(members)
                 unobserved = np.setdiff1d(np.arange(1, n + 1), indices)
                 if unobserved.size:
-                    nm_k[members] = interpolation.nmse(truths[members], kalman.means, unobserved)
-                    nm_o[members] = interpolation.nmse(truths[members], oracle.means, unobserved)
+                    nm_k[members] = interpolation.nmse(truths[members], by_kalman.means, unobserved)
+                    nm_o[members] = interpolation.nmse(truths[members], by_oracle.means, unobserved)
             for trial, indices in enumerate(patterns):
                 # measured times are environmental, like the timestamp header;
                 # --no-meta zeroes them so reruns are byte-identical
                 wall_us = 0 if args.no_meta else int(round(t_kalman[trial] * 1e6))
-                rows.append(
-                    (
-                        trial,
-                        strategy,
-                        n,
-                        m_obs,
-                        sigma_v2,
-                        nm_k[trial],
-                        nm_o[trial],
-                        interpolation.max_gap(indices, n),
-                        wall_us,
-                    )
-                )
+                rows.append((trial, strategy, n, m_obs, sigma_v2, nm_k[trial], nm_o[trial],
+                             interpolation.max_gap(indices, n), wall_us))
     _write_csv(
         args,
         ["trial_id", "strategy", "N", "M", "sigma_v2", "nmse_kalman", "nmse_oracle", "l_max", "wall_time_us"],
@@ -426,53 +466,31 @@ def cmd_bench(args) -> int:
 def cmd_bound(args) -> int:
     _require(args, ["W", "N", "eps"])
     model = _clarke(args)
-    epsilons = _float_list(args.eps)
-    trials = int(args.trials)
-    strategy = args.strategy
-    if strategy not in _STRATEGIES:
-        raise ValueError(f"strategy must be one of {_STRATEGIES}")
-    seed = int(args.seed)
-    cov = correlation.build_covariance(model)
-    spectrum = correlation.eigen_spectrum(cov)
+    seed = args.seed
     fitted = None
     if args.p is not None or args.p_max is not None:
         fitted, _ = _fit_model(args, model)
-        space = interpolation.build_state_space(fitted)
-        prior = _lag_prior(fitted)
-    min_m = 2 if strategy == "uniform_endpoints" else 1
+    cov, oracle, kalman = _estimators(model, fitted)
+    spectrum = correlation.eigen_spectrum(cov)
 
     def truth_sampler(sample_seed, count):
         return correlation.sample_exact(spectrum, sample_seed, count)
 
     def select(m, trial_seed):
-        return interpolation.port_select(strategy, model.N, m, trial_seed)
+        return interpolation.port_select(args.strategy, model.N, m, trial_seed)
+
+    min_m = 2 if args.strategy == "uniform_endpoints" else 1
+
+    def empirical(eps, estimator, trial_seed):
+        return interpolation.empirical_min_observations(
+            eps, args.trials, trial_seed, estimator, truth_sampler, select, model.N, min_m=min_m
+        )
 
     rows = []
-    for idx, eps in enumerate(epsilons):
+    for idx, eps in enumerate(args.eps):
         bound = interpolation.min_observations_bound(spectrum, eps)
-        m_oracle = interpolation.empirical_min_observations(
-            eps,
-            trials,
-            derive(seed, idx, 0),
-            lambda obs: interpolation.dense_mmse(cov, obs),
-            truth_sampler,
-            select,
-            model.N,
-            min_m=min_m,
-        )
-        if fitted is not None:
-            m_kalman = interpolation.empirical_min_observations(
-                eps,
-                trials,
-                derive(seed, idx, 1),
-                lambda obs: interpolation.kalman_smooth(space, prior, obs, model.N),
-                truth_sampler,
-                select,
-                model.N,
-                min_m=min_m,
-            )
-        else:
-            m_kalman = -1
+        m_oracle = empirical(eps, oracle, derive(seed, idx, 0))
+        m_kalman = -1 if kalman is None else empirical(eps, kalman, derive(seed, idx, 1))
         rows.append((eps, bound, m_oracle, m_kalman))
     _write_csv(
         args,
@@ -485,102 +503,35 @@ def cmd_bound(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
-def _add_common(sub: argparse.ArgumentParser):
-    sub.add_argument("--config", help="JSON file with default parameter values")
-    sub.add_argument("--seed", type=int, help="stream seed (default 0)")
-    sub.add_argument("--out", help="output path, '-' for stdout (default)")
-    sub.add_argument("--format", choices=("csv", "json"))
-    sub.add_argument("--no-meta", action="store_true", default=None, help="omit the timestamp header")
-    sub.add_argument("--sigma2", type=float, help="per-port variance (default 1)")
+_COMMANDS = {
+    "fit": (cmd_fit, "fit the autoregressive surrogate"),
+    "select-order": (cmd_select_order, "pick the order by CDF distance"),
+    "generate": (cmd_generate, "emit simulated channel realizations"),
+    "cdf": (cmd_cdf, "selection-gain CDF curves (exact, direct, particle)"),
+    "interpolate": (cmd_interpolate, "reconstruct one realization from sparse ports"),
+    "bench": (cmd_bench, "NMSE and timing over strategies and sizes"),
+    "bound": (cmd_bound, "observation-count bound vs empirical requirement"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One subparser per command, one flag per ``_PARAMS`` entry; argparse
+    only collects the raw text, which ``_resolve`` converts."""
     parser = argparse.ArgumentParser(
         prog="faschan",
         description="Spatial correlation surrogate modeling and sparse-port channel reconstruction",
     )
     commands = parser.add_subparsers(dest="command", required=True)
-
-    fit = commands.add_parser("fit", help="fit the autoregressive surrogate")
-    fit.add_argument("--W", type=float)
-    fit.add_argument("--N", type=int)
-    fit.add_argument("--p", type=int)
-    fit.add_argument("--p-max", dest="p_max", type=int)
-    fit.add_argument("--mc", type=int, help="Monte-Carlo samples per CDF during selection")
-    fit.add_argument("--burn", type=int, help="burn-in length as a multiple of N")
-    _add_common(fit)
-    fit.set_defaults(func=cmd_fit)
-
-    sel = commands.add_parser("select-order", help="pick the order by CDF distance")
-    sel.add_argument("--W", type=float)
-    sel.add_argument("--N", type=int)
-    sel.add_argument("--p-max", dest="p_max", type=int)
-    sel.add_argument("--mc", type=int)
-    sel.add_argument("--burn", type=int)
-    _add_common(sel)
-    sel.set_defaults(func=cmd_select_order)
-
-    gen = commands.add_parser("generate", help="emit simulated channel realizations")
-    gen.add_argument("--W", type=float)
-    gen.add_argument("--N", type=int)
-    gen.add_argument("--p", type=int)
-    gen.add_argument("--count", type=int)
-    gen.add_argument("--burn", type=int)
-    _add_common(gen)
-    gen.set_defaults(func=cmd_generate)
-
-    cdf = commands.add_parser("cdf", help="selection-gain CDF curves (exact, direct, particle)")
-    cdf.add_argument("--W", type=float)
-    cdf.add_argument("--N", type=int)
-    cdf.add_argument("--p", help="order or comma list of orders")
-    cdf.add_argument("--mc", type=int)
-    cdf.add_argument("--burn", type=int)
-    cdf.add_argument("--J", type=int, help="particle count")
-    cdf.add_argument("--ess-ratio", dest="ess_ratio", type=float)
-    cdf.add_argument("--t-grid", dest="t_grid", help="linear grid start:stop:count")
-    cdf.add_argument("--t-quantile-grid", dest="t_quantile_grid", type=int,
-                     help="grid size drawn from pilot exact-sample quantiles")
-    _add_common(cdf)
-    cdf.set_defaults(func=cmd_cdf)
-
-    itp = commands.add_parser("interpolate", help="reconstruct one realization from sparse ports")
-    itp.add_argument("--W", type=float)
-    itp.add_argument("--N", type=int)
-    itp.add_argument("--M", type=int)
-    itp.add_argument("--strategy", choices=_STRATEGIES)
-    itp.add_argument("--p", type=int)
-    itp.add_argument("--p-max", dest="p_max", type=int)
-    itp.add_argument("--mc", type=int)
-    itp.add_argument("--burn", type=int)
-    itp.add_argument("--sigma-v2", dest="sigma_v2", type=float)
-    _add_common(itp)
-    itp.set_defaults(func=cmd_interpolate)
-
-    bench = commands.add_parser("bench", help="NMSE and timing over strategies and sizes")
-    bench.add_argument("--W", type=float)
-    bench.add_argument("--N", help="comma list of port counts")
-    bench.add_argument("--ratio", type=float, help="observation fraction M/N")
-    bench.add_argument("--M", type=int, help="fixed observation count (overrides --ratio)")
-    bench.add_argument("--strategies", help="comma list; default all three")
-    bench.add_argument("--trials", type=int)
-    bench.add_argument("--p", type=int)
-    bench.add_argument("--sigma-v2", dest="sigma_v2", type=float)
-    _add_common(bench)
-    bench.set_defaults(func=cmd_bench)
-
-    bound = commands.add_parser("bound", help="observation-count bound vs empirical requirement")
-    bound.add_argument("--W", type=float)
-    bound.add_argument("--N", type=int)
-    bound.add_argument("--eps", help="comma list of NMSE targets")
-    bound.add_argument("--trials", type=int)
-    bound.add_argument("--strategy", choices=_STRATEGIES)
-    bound.add_argument("--p", type=int)
-    bound.add_argument("--p-max", dest="p_max", type=int)
-    bound.add_argument("--mc", type=int)
-    bound.add_argument("--burn", type=int)
-    _add_common(bound)
-    bound.set_defaults(func=cmd_bound)
-
+    for command, (func, summary) in _COMMANDS.items():
+        sub = commands.add_parser(command, help=summary)
+        sub.add_argument("--config", help="JSON file of parameter values; flags override it")
+        for param in _params(command).values():
+            text = param.help if param.default is None else f"{param.help} (default {param.default})"
+            if param.convert is _switch:
+                sub.add_argument(param.flag, dest=param.name, action="store_const", const="true", help=text)
+            else:
+                sub.add_argument(param.flag, dest=param.name, help=text)
+        sub.set_defaults(func=func)
     return parser
 
 
@@ -588,7 +539,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _merge_config(args)
+        _resolve(args)
         return args.func(args)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         json.dump({"error": str(exc), "type": type(exc).__name__}, sys.stderr)

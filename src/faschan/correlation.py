@@ -17,7 +17,6 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 from scipy.linalg import toeplitz
@@ -98,16 +97,9 @@ class ToeplitzCovariance:
         return self._matrix
 
 
-def build_covariance(
-    model: ClarkeModel,
-    autocorrelation: Callable[[int, ClarkeModel], complex] = clarke_autocorrelation,
-) -> ToeplitzCovariance:
-    """Covariance whose first row is the autocorrelation at lags 0..N-1.
-
-    ``autocorrelation`` is a hook for alternative generation functions; the
-    sinc model is the only one shipped.
-    """
-    row = np.array([autocorrelation(lag, model) for lag in range(model.N)], dtype=np.complex128)
+def build_covariance(model: ClarkeModel) -> ToeplitzCovariance:
+    """Covariance whose first row is the sinc autocorrelation at lags 0..N-1."""
+    row = np.array([clarke_autocorrelation(lag, model) for lag in range(model.N)], dtype=np.complex128)
     return ToeplitzCovariance(first_row=row, N=model.N)
 
 

@@ -25,7 +25,7 @@ from scipy.linalg import toeplitz
 from .arfit import ArpModel, arp_induced_covariance, check_stability
 from .correlation import EigenSpectrum, ToeplitzCovariance
 from .errors import NumericalError, UnstableModelError
-from .rng import make_rng
+from .rng import derive, make_rng
 
 # requested noise variance of exactly 0 is floored at this multiple of r(0)
 NOISE_FLOOR_FACTOR = 1e-10
@@ -392,6 +392,17 @@ def max_gap(indices, N: int) -> int:
     return max(interior, int(idx[0] - 1), int(N - idx[-1]))
 
 
+def group_by_pattern(patterns) -> list[list[int]]:
+    """Trial numbers grouped by identical port indices, groups in first-seen order.
+
+    Each group's trials can share one (T, M) reconstruction call.
+    """
+    groups: dict[bytes, list[int]] = {}
+    for trial, indices in enumerate(patterns):
+        groups.setdefault(np.asarray(indices).tobytes(), []).append(trial)
+    return list(groups.values())
+
+
 def empirical_min_observations(
     epsilon: float,
     trials: int,
@@ -408,19 +419,16 @@ def empirical_min_observations(
     -> (count, N) channels`` and ``select(M, trial_seed) -> indices`` are
     supplied by the caller.  M qualifies when the sample mean NMSE is within
     three standard errors of the target or below it.  Trials that select the
-    same indices form one (T, M) observation set, so the estimator runs once
-    per distinct pattern and must accept stacked values; the ratios keep the
-    trial order.
+    same indices (``group_by_pattern``) form one (T, M) observation set, so
+    the estimator runs once per distinct pattern and must accept stacked
+    values; the ratios keep the trial order.
     """
 
     def qualifies(m: int) -> bool:
         ratios = np.empty(trials)
-        truths = truth_sampler((*_as_tuple(seed), m), trials)
-        patterns = [np.asarray(select(m, (*_as_tuple(seed), m, trial))) for trial in range(trials)]
-        groups: dict[bytes, list[int]] = {}
-        for trial, indices in enumerate(patterns):
-            groups.setdefault(indices.tobytes(), []).append(trial)
-        for members in groups.values():
+        truths = truth_sampler(derive(seed, m), trials)
+        patterns = [np.asarray(select(m, derive(seed, m, trial))) for trial in range(trials)]
+        for members in group_by_pattern(patterns):
             indices = patterns[members[0]]
             rows = truths[members]
             obs = ObservationSet(indices=indices, values=rows[:, indices - 1], noise_var=0.0)
@@ -444,7 +452,3 @@ def empirical_min_observations(
         else:
             lo = mid
     return hi
-
-
-def _as_tuple(seed) -> tuple:
-    return tuple(seed) if isinstance(seed, (tuple, list)) else (int(seed),)

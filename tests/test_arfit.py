@@ -256,3 +256,15 @@ class TestSelectOrder:
             select_order(model, p_max=30, mc_samples=1000)
         with pytest.raises(ValueError):
             select_order(model, p_max=3, mc_samples=10)
+
+    def test_p_max_checked_before_any_work(self, monkeypatch):
+        # fit_clarke_model fits p <= N-1, so p_max = N must fail up front
+        import faschan.arfit
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("select_order did work before its range check")
+
+        monkeypatch.setattr(faschan.arfit, "sample_exact", no_work)
+        monkeypatch.setattr(faschan.arfit, "fit_clarke_model", no_work)
+        with pytest.raises(ValueError, match="p_max"):
+            select_order(ClarkeModel(W=1.0, N=20), p_max=20, mc_samples=1000)

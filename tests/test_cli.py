@@ -18,6 +18,8 @@ from faschan.interpolation import (
 )
 from faschan.rng import complex_standard_normal, derive, make_rng
 
+from test_acceptance import CLI_CONFIGS
+
 
 def run_cli(argv, capsys):
     code = main(argv)
@@ -79,6 +81,16 @@ class TestSelectOrder:
         assert lines[0] == "p,ks_distance"
         assert len(lines) == 3
 
+    def test_p_max_of_n_usage_error(self, capsys):
+        # the surrogate fits orders up to N-1 only
+        code, out, err = run_cli(
+            ["select-order", "--W", "1", "--N", "20", "--p-max", "20", "--mc", "1000", "--no-meta"],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert "p_max" in json.loads(err)["error"]
+
 
 class TestGenerate:
     def test_csv_schema_and_shape(self, capsys, tmp_path):
@@ -135,6 +147,12 @@ class TestCdf:
             capsys,
         )
         assert code == 2
+
+    def test_format_flag_usage_error(self):
+        # --format belongs to select-order; cdf writes CSV only
+        with pytest.raises(SystemExit) as exc:
+            main(["cdf", "--W", "1", "--N", "15", "--p", "1", "--format", "json", "--no-meta"])
+        assert exc.value.code == 2
 
     @pytest.mark.parametrize("flag", ["--J", "--ess-ratio"])
     def test_explicit_zero_reaches_validation(self, flag, capsys):
@@ -345,6 +363,43 @@ class TestConfigFile:
         lines = out.read_text().splitlines()[1:]
         values = np.array([[float(v) for v in line.split(",")[2:]] for line in lines])
         np.testing.assert_array_equal(values[:, 0] + 1j * values[:, 1], row)
+
+    @pytest.mark.parametrize("argv", CLI_CONFIGS, ids=lambda a: a[0])
+    def test_config_form_matches_flag_form(self, argv, capsys, tmp_path):
+        by_flag = tmp_path / "flag.out"
+        assert run_cli([*argv, "--seed", "9", "--no-meta", "--out", str(by_flag)], capsys)[0] == 0
+        values = {"seed": 9, "no_meta": True}
+        for flag, text in zip(argv[1::2], argv[2::2]):
+            try:  # numbers as JSON numbers, comma lists and names as strings
+                values[flag[2:]] = json.loads(text)
+            except json.JSONDecodeError:
+                values[flag[2:]] = text
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(values))
+        by_config = tmp_path / "config.out"
+        assert run_cli([argv[0], "--config", str(config), "--out", str(by_config)], capsys)[0] == 0
+        assert by_config.read_bytes() == by_flag.read_bytes()
+
+    @pytest.mark.parametrize(
+        "argv, key, value",
+        [
+            (["fit", "--N", "20", "--p", "3"], "W", [1]),
+            (["bound", "--W", "2", "--N", "20", "--p", "2"], "eps", [0.1, 0.01]),
+            (["bench", "--W", "2", "--N", "15", "--M", "3", "--p", "2"], "strategies", ["random"]),
+            (["cdf", "--W", "1", "--N", "15", "--p", "1"], "t_grid", [0.5, 8, 5]),
+        ],
+        ids=["W", "eps", "strategies", "t_grid"],
+    )
+    def test_wrong_json_type_usage_error(self, argv, key, value, capsys, tmp_path):
+        # a config value is converted as its JSON text would be as a flag
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: value}))
+        code, out, err = run_cli([*argv, "--config", str(config), "--no-meta"], capsys)
+        assert code == 2
+        assert out == ""
+        error = json.loads(err)
+        assert error["type"] == "ValueError"
+        assert "--" + key.replace("_", "-") in error["error"]
 
     def test_unknown_config_key_rejected(self, capsys, tmp_path):
         config = tmp_path / "config.json"

@@ -84,13 +84,6 @@ class TestBuildCovariance:
             eigmin = float(np.linalg.eigvalsh(cov.matrix()).min())
             assert eigmin >= -1e-8 * cov.r0
 
-    def test_autocorrelation_hook(self):
-        def white(lag, model):
-            return float(model.sigma2) if lag == 0 else 0.0
-
-        cov = build_covariance(ClarkeModel(W=1.0, N=8, sigma2=2.0), autocorrelation=white)
-        np.testing.assert_allclose(cov.matrix(), 2.0 * np.eye(8), atol=1e-15)
-
     def test_rejects_bad_first_row(self):
         with pytest.raises(ValueError):
             ToeplitzCovariance(first_row=np.array([0.0, 0.1]), N=2)
