@@ -13,7 +13,6 @@ from faschan import (
     ClarkeModel,
     ObservationSet,
     build_covariance,
-    build_state_space,
     dense_mmse,
     eigen_spectrum,
     fit_clarke_model,
@@ -22,7 +21,6 @@ from faschan import (
     nmse,
     port_select,
     sample_exact,
-    stationary_covariance,
 )
 
 model = ClarkeModel(W=2.0, N=100)
@@ -30,8 +28,6 @@ cov = build_covariance(model)
 truth = sample_exact(eigen_spectrum(cov), seed=11, count=1)[0]
 
 fitted = fit_clarke_model(model, 20)
-space = build_state_space(fitted)
-prior = stationary_covariance(fitted)
 
 print("strategy            L_max   oracle NMSE   kalman NMSE")
 for strategy in ("uniform_endpoints", "uniform_interior", "random"):
@@ -39,7 +35,7 @@ for strategy in ("uniform_endpoints", "uniform_interior", "random"):
     obs = ObservationSet(indices=indices, values=truth[indices - 1], noise_var=0.0)
     unobserved = np.setdiff1d(np.arange(1, 101), indices)
     oracle = dense_mmse(cov, obs)
-    kalman = kalman_smooth(space, prior, obs, 100)
+    kalman = kalman_smooth(fitted, obs, 100)
     print(
         f"{strategy:<18s}  {max_gap(indices, 100):5d}   "
         f"{nmse(truth, oracle.means, unobserved):11.3e}   "

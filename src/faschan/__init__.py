@@ -31,8 +31,6 @@ from .generator import SimulationConfig, simulate, simulate_batch
 from .interpolation import (
     ObservationSet,
     ReconstructionResult,
-    StateSpace,
-    build_state_space,
     dense_mmse,
     empirical_min_observations,
     kalman_smooth,

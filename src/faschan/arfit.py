@@ -6,8 +6,8 @@ is accepted only if every root of 1 - sum_i a_i z^-i lies inside the unit
 circle with margin.  The fitted process's own autocorrelation is the inverse
 transform of its power spectrum sigma^2 / |A(e^{jw})|^2, evaluated on the
 same grid that normalizes the innovation variance; it gives the Toeplitz
-covariance for cross-checking against dense conditioning and the smoother's
-stationary prior.
+covariance for cross-checking against dense conditioning.  The smoother's
+prior is the model's cached ``ArpModel.stationary_factor``.
 
 Order selection follows the Monte-Carlo procedure: an exact-model reference
 sample of the selection gain, one simulated sample per stable candidate
@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import toeplitz
@@ -40,6 +41,8 @@ _WINDOW_FACTOR = 2
 _GRID_DECAYS = 40
 _GRID_MIN = 1 << 12
 _GRID_MAX = 1 << 21
+# stationary factor's burn-in, in e-folds of the slowest root's decay
+_STATIONARY_DECAYS = 14
 
 _REF_BRANCH = 0
 _CANDIDATE_BRANCH = 1
@@ -71,6 +74,23 @@ class ArpModel:
     @property
     def r0(self) -> float:
         return float(self.source_lags[0].real)
+
+    @cached_property
+    def stationary_factor(self) -> np.ndarray:
+        """Upper-triangular F, F^H F the stationary covariance of [g_k, ..., g_{k-p+1}].
+
+        The ``burned_in_factor`` of ceil(14 / margin) steps, whose zero-start
+        transient is below e^-28, so F^H F is ``stationary_covariance`` to
+        round-off.  Computed once per model, read-only.
+        """
+        from .generator import burned_in_factor
+
+        report = check_stability(self)
+        if not report.stable:
+            raise UnstableModelError("an unstable model has no stationary law")
+        factor = burned_in_factor(self, int(np.ceil(_STATIONARY_DECAYS / report.margin)))
+        factor.setflags(write=False)
+        return factor
 
 
 @dataclass(frozen=True)

@@ -255,16 +255,13 @@ def _threshold_grid(args, spectrum) -> np.ndarray:
     return np.quantile(gains, probs)
 
 
-def _lag_prior(model: arfit.ArpModel) -> np.ndarray:
-    return interpolation.stationary_covariance(model)
-
-
 def _estimators(model: correlation.ClarkeModel, fitted: "arfit.ArpModel | None"):
     """The exact covariance and the two reconstructions of ``model``'s ports.
 
     Returns ``(cov, oracle, kalman)``: ``oracle(obs)`` conditions on the
-    exact covariance, ``kalman(obs)`` smooths on the fitted surrogate's state
-    space from its stationary prior, and is None without a surrogate.
+    exact covariance, ``kalman(obs)`` smooths on the fitted surrogate from its
+    stationary factor, and is None without a surrogate.  The factor is built
+    here, so the first timed smoother call pays for smoothing alone.
     """
     cov = correlation.build_covariance(model)
 
@@ -273,11 +270,10 @@ def _estimators(model: correlation.ClarkeModel, fitted: "arfit.ArpModel | None")
 
     if fitted is None:
         return cov, oracle, None
-    space = interpolation.build_state_space(fitted)
-    prior = _lag_prior(fitted)
+    fitted.stationary_factor  # cached on the model
 
     def kalman(obs):
-        return interpolation.kalman_smooth(space, prior, obs, model.N)
+        return interpolation.kalman_smooth(fitted, obs, model.N)
 
     return cov, oracle, kalman
 

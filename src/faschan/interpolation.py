@@ -3,11 +3,13 @@
 Two routes to the same posterior: dense joint-Gaussian conditioning on the
 full covariance (the oracle, cubic in the observation count), and a Kalman
 forward pass plus backward smoothing on the AR(p) companion state space
-(linear in the port count).  For a fitted model both produce identical
-conditional means and variances, which is the central cross-check of this
-module.  Also here: the posterior-error NMSE, the eigenvalue-tail lower
-bound on how many observations a target error requires, and the port
-selection strategies whose gap geometry drives interpolation quality.
+(linear in the port count), in square-root form from the model's own
+stationary factor, so it keeps its accuracy on near-unit-circle fits.  For a
+fitted model both produce identical conditional means and variances, which
+is the central cross-check of this module.  Also here: the posterior-error
+NMSE, the eigenvalue-tail lower bound on how many observations a target
+error requires, and the port selection strategies whose gap geometry
+drives interpolation quality.
 
 Ports are 1-based throughout, matching the array indexing used by the
 observation sets.
@@ -20,17 +22,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import toeplitz
+from scipy.linalg import lapack, toeplitz
 
-from .arfit import ArpModel, arp_induced_covariance, check_stability
+from .arfit import ArpModel, arp_induced_covariance
 from .correlation import EigenSpectrum, ToeplitzCovariance
-from .errors import NumericalError, UnstableModelError
+from .errors import NumericalError
 from .rng import derive, make_rng
 
 # requested noise variance of exactly 0 is floored at this multiple of r(0)
 NOISE_FLOOR_FACTOR = 1e-10
-# relative singular-value cutoff for the smoother-gain solve
-_RTS_RCOND = 1e-12
 
 
 @dataclass(frozen=True)
@@ -67,20 +67,6 @@ class ObservationSet:
     @property
     def M(self) -> int:
         return int(self.indices.size)
-
-
-@dataclass(frozen=True)
-class StateSpace:
-    """Companion-form dynamics: A advances the lifted state, Q injects the
-    innovation at the newest slot, H reads the newest sample."""
-
-    A: np.ndarray
-    Q: np.ndarray
-    H: np.ndarray
-
-    @property
-    def p(self) -> int:
-        return int(self.A.shape[0])
 
 
 @dataclass(frozen=True)
@@ -161,109 +147,107 @@ def dense_mmse(cov: ToeplitzCovariance, obs: ObservationSet) -> ReconstructionRe
     )
 
 
-def build_state_space(model: ArpModel) -> StateSpace:
-    """Companion matrix, rank-one process noise, and the first-slot readout row."""
-    if not check_stability(model).stable:
-        raise UnstableModelError("state-space form requires a stable model")
-    p = model.p
-    a = np.zeros((p, p), dtype=np.complex128)
-    a[0, :] = model.alpha
-    if p > 1:
-        a[np.arange(1, p), np.arange(p - 1)] = 1.0
-    q = np.zeros((p, p), dtype=np.complex128)
-    q[0, 0] = model.sigma_eps2
-    h = np.zeros(p, dtype=np.complex128)
-    h[0] = 1.0
-    return StateSpace(A=a, Q=q, H=h)
-
-
 def stationary_covariance(model: ArpModel) -> np.ndarray:
     """Covariance of the lifted state [g_k, ..., g_{k-p+1}] under the model's own law.
 
     Entry (i, j) is E[g_{k-i} conj(g_{k-j})] = r(j - i), with r the lags of
-    ``arp_induced_covariance``, so the smoother prior, the induced covariance
-    and the recursion describe one stationary process.  This Toeplitz matrix
-    is the fixed point of P = A P A^H + Q for the companion dynamics.
+    ``arp_induced_covariance``.  This Toeplitz matrix is the fixed point of
+    P = A P A^H + Q for the companion dynamics, and the reference that the
+    smoother's prior, ``ArpModel.stationary_factor``, is checked against.
     """
     lags = arp_induced_covariance(model, model.p).first_row
     return toeplitz(np.conj(lags), lags)
 
 
-def kalman_smooth(ss: StateSpace, P_inf: np.ndarray, obs: ObservationSet, N: int) -> ReconstructionResult:
-    """Forward filter plus backward smoothing pass over ports 1..N.
+def kalman_smooth(model: ArpModel, obs: ObservationSet, N: int) -> ReconstructionResult:
+    """Square-root forward filter plus backward RTS pass over ports 1..N.
 
-    The filter starts from the zero-mean stationary prior (covariance
-    ``P_inf``), predicts with the companion dynamics, and updates with the
-    scalar measurement wherever a port is observed; unobserved ports carry
-    the prediction through.  The backward pass folds later observations into
-    every port's posterior.  Covariance updates keep Hermitian symmetry by
-    construction.  The smoother gain solves against the predicted covariance
-    in the minimum-norm least-squares sense: near-singular surrogates make
-    that matrix numerically rank-deficient across long unobserved runs, and
-    the null directions must carry zero gain rather than round-off noise.
+    The lifted state [g_k, ..., g_{k-p+1}] has covariance S^H S, S upper
+    triangular, from ``model.stationary_factor`` and mean zero.  Each step
+    keeps the R of a QR; S A^H = [S conj(alpha), S[:, :-1]] for the
+    companion matrix A, and every variance is |S[0, 0]|^2 >= 0:
 
-    The covariances and gains depend only on which ports are observed, so a
-    (T, M) stack of values shares one covariance pass and the mean recursion
-    carries a (T, p) block; ``means`` has the shape of ``obs.values`` with
-    the last axis N, and the variances and the NMSE serve every row.  Costs
-    O(N p^3) time for the covariance pass, once per observation pattern,
-    plus O(N p^2 T) for the means of T rows.
+    - predict: QR of [[S A^H, S], [sigma_eps e_1^T, 0]], whose left block is
+      the predicted factor S-; the smoother gain is G^H = (S-)^-1 Q_1^H [S; 0]
+      from the right block.
+    - update: the QR of [[sigma_v, 0], [S e_1, S]] is one rotation, as
+      S e_1 = s_00 e_1: with v = sigma_v^2 + |s_00|^2 the gain is
+      s_00 conj(S[0]) / v and row 0 of S scales by sigma_v / sqrt(v).
+    - smooth: QR of [S_f (I - A^H G^H); sigma_eps G^H[0]; S_s G^H], the RTS
+      covariance in Joseph form from this port's filtered factor S_f and the
+      next port's smoothed factor S_s.
+
+    A zero noise variance is floored at NOISE_FLOOR_FACTOR times the prior
+    variance.  The factors depend only on the observed ports, so a (T, M)
+    stack of values shares one factor pass, and the means run through
+    ``_rowwise``, each row rounding as a single call does; ``means`` has the
+    shape of ``obs.values`` with the last axis N.  Costs O(N p^3) per
+    observation pattern plus O(N p^2 T) for the means.
     """
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
     if obs.indices[-1] > N:
         raise ValueError(f"observation index {obs.indices[-1]} exceeds N = {N}")
-    p = ss.p
-    a = ss.A
-    q = ss.Q
-    r0 = float(P_inf[0, 0].real)
+    p, alpha = model.p, model.alpha
+    sigma_eps = math.sqrt(model.sigma_eps2)
+    s = np.array(model.stationary_factor)
+    r0 = float(abs(s[0, 0]) ** 2)
     sv2 = _effective_noise_var(obs.noise_var, r0)
     rows = obs.values.reshape(-1, obs.M)
     t = rows.shape[0]
-    y = np.zeros((N + 1, t), dtype=np.complex128)
-    observed = np.zeros(N + 1, dtype=bool)
-    y[obs.indices] = rows.T
-    observed[obs.indices] = True
+    y = dict(zip(obs.indices.tolist(), rows.T))
+    upper = np.triu(np.ones((p, p), dtype=bool))
+
+    def advance(m):  # A m for each row m of a (T, p) stack
+        return np.concatenate((_rowwise(alpha[None], m), m[:, :-1]), axis=1)
 
     means_f = np.empty((N, t, p), dtype=np.complex128)
-    covs_f = np.empty((N, p, p), dtype=np.complex128)
+    factors_f = np.empty((N, p, p), dtype=np.complex128)
+    # gains_h[k - 1] is G^H from port k - 1 to port k
+    gains_h = np.zeros((N, p, p), dtype=np.complex128)
+    predict = np.empty((p + 1, 2 * p), dtype=np.complex128, order="F")
     mean = np.zeros((t, p), dtype=np.complex128)
-    cov = np.asarray(P_inf, dtype=np.complex128)
     for k in range(1, N + 1):
         if k > 1:
-            mean = _rowwise(a, mean)
-            cov = a @ cov @ a.conj().T + q
-        if observed[k]:
-            innovation_var = float(cov[0, 0].real) + sv2
-            gain = cov[:, 0] / innovation_var
-            mean = mean + gain * (y[k] - mean[:, 0])[:, None]
-            cov = cov - np.outer(gain, cov[0, :])
-            cov = (cov + cov.conj().T) / 2.0
-        if not np.all(np.isfinite(cov)):
-            raise NumericalError(f"filter covariance became non-finite at port {k}")
+            mean = advance(mean)
+            predict[:p] = np.concatenate((s @ np.conj(alpha)[:, None], s[:, :-1], s), axis=1)
+            predict[p] = 0.0
+            predict[p, 0] = sigma_eps
+            r = lapack.zgeqrf(predict, overwrite_a=1)[0]
+            gains_h[k - 1], info = lapack.ztrtrs(r[:p, :p], r[:p, p:])
+            if info != 0:
+                raise NumericalError(f"predicted factor is singular at port {k}")
+            s = r[:p, :p] * upper
+        if k in y:
+            innovation_var = sv2 + abs(s[0, 0]) ** 2
+            mean = mean + s[0, 0] * np.conj(s[0]) / innovation_var * (y[k] - mean[:, 0])[:, None]
+            s[0] *= math.sqrt(sv2 / innovation_var)
         means_f[k - 1] = mean
-        covs_f[k - 1] = cov
+        factors_f[k - 1] = s
+    finite = np.isfinite(factors_f).all(axis=(1, 2)) & np.isfinite(gains_h).all(axis=(1, 2))
+    if not finite.all():
+        raise NumericalError(f"filter factor became non-finite at port {int(np.argmin(finite)) + 1}")
 
     means_out = np.empty((t, N), dtype=np.complex128)
     vars_out = np.empty(N)
     mean_s = means_f[N - 1]
-    cov_s = covs_f[N - 1]
     means_out[:, N - 1] = mean_s[:, 0]
-    vars_out[N - 1] = max(cov_s[0, 0].real, 0.0)
+    vars_out[N - 1] = abs(s[0, 0]) ** 2
+    smooth = np.empty((2 * p + 1, p), dtype=np.complex128, order="F")
     for k in range(N - 1, 0, -1):
-        mean_f = means_f[k - 1]
-        cov_f = covs_f[k - 1]
-        mean_pred = _rowwise(a, mean_f)
-        cov_pred = a @ cov_f @ a.conj().T + q
-        cov_pred = (cov_pred + cov_pred.conj().T) / 2.0
-        gain = np.linalg.lstsq(cov_pred, a @ cov_f, rcond=_RTS_RCOND)[0].conj().T
-        mean_s = mean_f + _rowwise(gain, mean_s - mean_pred)
-        cov_s = cov_f + gain @ (cov_s - cov_pred) @ gain.conj().T
-        cov_s = (cov_s + cov_s.conj().T) / 2.0
-        if not np.all(np.isfinite(cov_s)):
-            raise NumericalError(f"smoother covariance became non-finite at port {k}")
+        mean_f, gain_h = means_f[k - 1], gains_h[k]
+        mean_s = mean_f + _rowwise(gain_h.conj().T, mean_s - advance(mean_f))
+        # I - A^H G^H: row i of A^H G^H is conj(alpha_i) G^H[0] + G^H[i + 1]
+        joseph = np.eye(p) - np.conj(alpha)[:, None] * gain_h[0]
+        joseph[:-1] -= gain_h[1:]
+        smooth[:p] = factors_f[k - 1] @ joseph
+        smooth[p] = sigma_eps * gain_h[0]
+        smooth[p + 1 :] = s @ gain_h
+        s = lapack.zgeqrf(smooth, overwrite_a=1)[0][:p] * upper
+        if not np.all(np.isfinite(s)):
+            raise NumericalError(f"smoother factor became non-finite at port {k}")
         means_out[:, k - 1] = mean_s[:, 0]
-        vars_out[k - 1] = max(cov_s[0, 0].real, 0.0)
+        vars_out[k - 1] = abs(s[0, 0]) ** 2
 
     unobserved = np.setdiff1d(np.arange(1, N + 1), obs.indices)
     if unobserved.size == 0:

@@ -41,12 +41,7 @@ def make_consistent_model(p: int, seed=0, max_mod: float = 0.6, roots=None) -> A
     assert roots.size == p
     alpha = -np.poly(roots)[1:]
     sigma_eps2 = 1.0 / unit_noise_gain(alpha)
-    a = np.zeros((p, p), dtype=complex)
-    a[0] = alpha
-    if p > 1:
-        a[np.arange(1, p), np.arange(p - 1)] = 1.0
-    q = np.zeros((p, p), dtype=complex)
-    q[0, 0] = sigma_eps2
+    a, q = companion(ArpModel(alpha=alpha, sigma_eps2=sigma_eps2, p=p, source_lags=np.ones(p + 1)))
     lhs = np.eye(p * p, dtype=complex) - np.kron(np.conj(a), a)
     pinf = np.linalg.solve(lhs, q.reshape(-1, order="F")).reshape(p, p, order="F")
     pinf = (pinf + pinf.conj().T) / 2
@@ -54,6 +49,21 @@ def make_consistent_model(p: int, seed=0, max_mod: float = 0.6, roots=None) -> A
     lags[:p] = pinf[0, :]
     lags[p] = alpha @ lags[p - 1 :: -1][:p] if p > 1 else alpha[0] * lags[0]
     return ArpModel(alpha=alpha, sigma_eps2=sigma_eps2, p=p, source_lags=lags)
+
+
+def companion(model: ArpModel) -> "tuple[np.ndarray, np.ndarray]":
+    """Dense companion matrix A and process noise Q = sigma_eps2 e_1 e_1^T.
+
+    The lifted state x_k = [g_k, ..., g_{k-p+1}] obeys x_{k+1} = A x_k +
+    e_1 eps_{k+1}; the library never forms these, the oracles do.
+    """
+    p = model.p
+    a = np.zeros((p, p), dtype=complex)
+    a[0] = model.alpha
+    a[np.arange(1, p), np.arange(p - 1)] = 1.0
+    q = np.zeros((p, p), dtype=complex)
+    q[0, 0] = model.sigma_eps2
+    return a, q
 
 
 def impulse_response(model: ArpModel, steps: int) -> np.ndarray:

@@ -9,12 +9,10 @@ from faschan.correlation import ClarkeModel, build_covariance, eigen_spectrum, s
 from faschan.generator import SimulationConfig, simulate_batch
 from faschan.interpolation import (
     ObservationSet,
-    build_state_space,
     dense_mmse,
     kalman_smooth,
     nmse,
     port_select,
-    stationary_covariance,
 )
 from faschan.rng import complex_standard_normal, derive, make_rng
 
@@ -236,8 +234,6 @@ class TestBench:
         model = ClarkeModel(W=2.0, N=n)
         cov = build_covariance(model)
         fitted = fit_clarke_model(model, 3)
-        space = build_state_space(fitted)
-        prior = stationary_covariance(fitted)
         truths = sample_exact(eigen_spectrum(cov), derive(seed, n), trials)
         expected = []
         for s_idx, strategy in enumerate(strategies):
@@ -246,7 +242,7 @@ class TestBench:
                 noise = complex_standard_normal(make_rng(derive(seed, n, s_idx, t, 1)), m)
                 obs = ObservationSet(idx, truths[t, idx - 1] + np.sqrt(sigma_v2) * noise, sigma_v2)
                 unobserved = np.setdiff1d(np.arange(1, n + 1), idx)
-                kalman = kalman_smooth(space, prior, obs, n).means
+                kalman = kalman_smooth(fitted, obs, n).means
                 expected.append((str(t), strategy, nmse(truths[t], kalman, unobserved),
                                  nmse(truths[t], dense_mmse(cov, obs).means, unobserved)))
         assert [(r[0], r[1]) for r in rows] == [e[:2] for e in expected]

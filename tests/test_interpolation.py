@@ -16,7 +16,6 @@ from faschan.interpolation import (
     NOISE_FLOOR_FACTOR,
     ObservationSet,
     _uniform_grid,
-    build_state_space,
     dense_mmse,
     empirical_min_observations,
     kalman_smooth,
@@ -28,7 +27,7 @@ from faschan.interpolation import (
 )
 from faschan.rng import complex_standard_normal, make_rng
 
-from conftest import burned_in_oracle, make_consistent_model
+from conftest import burned_in_oracle, companion, make_consistent_model
 
 
 class TestObservationSet:
@@ -121,33 +120,39 @@ class TestDenseMmse:
 
 class TestStateSpace:
     def test_ar1_structure(self):
+        # one port of an AR(1): E[g_{m+d} | g_m] = alpha^d g_m forward and
+        # conj(alpha)^d g_m backward, and the one-step variance is sigma_eps2
         model = yule_walker_fit([1.0, 0.5 + 0.1j])
-        ss = build_state_space(model)
-        np.testing.assert_allclose(ss.A, [[0.5 + 0.1j]])
-        np.testing.assert_allclose(ss.Q, [[model.sigma_eps2]])
-        np.testing.assert_allclose(ss.H, [1.0])
+        alpha = model.alpha[0]
+        factor = model.stationary_factor
+        np.testing.assert_allclose(factor.conj().T @ factor, [[model.r0]])
+        n, mid, value = 15, 6, 0.7 - 0.2j
+        result = kalman_smooth(model, ObservationSet(indices=[mid], values=[value], noise_var=0.0), n)
+        d = np.arange(1, n + 1) - mid
+        expected = np.where(d >= 0, alpha ** np.abs(d), np.conj(alpha) ** np.abs(d)) * value
+        np.testing.assert_allclose(result.means, expected, rtol=1e-8, atol=1e-12)
+        assert result.variances[mid] == pytest.approx(model.sigma_eps2, rel=1e-8)
 
     def test_companion_structure(self):
+        # p consecutive noise-free ports pin the lifted state x_p; beyond it
+        # the smoother must run the dense companion dynamics x -> A x + e_1 eps
         model = make_consistent_model(3, seed=(80, 0))
-        ss = build_state_space(model)
-        np.testing.assert_allclose(ss.A[0], model.alpha)
-        np.testing.assert_allclose(ss.A[1:, :-1], np.eye(2))
-        np.testing.assert_allclose(ss.A[1:, -1], 0.0)
-        assert ss.Q[0, 0] == pytest.approx(model.sigma_eps2)
-        assert np.count_nonzero(ss.Q) == 1
+        a, q = companion(model)
+        n, values = 10, np.array([0.3 + 0.4j, -0.5 + 0.1j, 0.2 - 0.6j])
+        result = kalman_smooth(model, ObservationSet(indices=[1, 2, 3], values=values, noise_var=0.0), n)
+        np.testing.assert_allclose(result.means[:3], values, rtol=1e-8)
+        state, cov = values[::-1].astype(complex), np.zeros((3, 3), dtype=complex)
+        for k in range(4, n + 1):
+            state, cov = a @ state, a @ cov @ a.conj().T + q
+            assert result.means[k - 1] == pytest.approx(state[0], rel=1e-8, abs=1e-12)
+            assert result.variances[k - 1] == pytest.approx(cov[0, 0].real, rel=1e-8)
+        assert result.variances[3] == pytest.approx(model.sigma_eps2, rel=1e-8)
 
     def test_eigenvalues_match_polynomial_roots(self):
         model = make_consistent_model(5, seed=(80, 1))
-        ss = build_state_space(model)
-        eig = np.sort(np.abs(np.linalg.eigvals(ss.A)))[::-1]
+        a, _ = companion(model)
+        eig = np.sort(np.abs(np.linalg.eigvals(a)))[::-1]
         np.testing.assert_allclose(eig, check_stability(model).root_moduli, atol=1e-10)
-
-    def test_unstable_refused(self):
-        from faschan.arfit import ArpModel
-
-        bad = ArpModel(alpha=np.array([1.1 + 0j]), sigma_eps2=1.0, p=1, source_lags=np.array([1.0, 0.9 + 0j]))
-        with pytest.raises(UnstableModelError):
-            build_state_space(bad)
 
 
 class TestStationaryCovariance:
@@ -158,8 +163,7 @@ class TestStationaryCovariance:
 
     def test_white_process_ar1_returns_q(self):
         model = yule_walker_fit([0.8, 0.0])
-        ss = build_state_space(model)
-        np.testing.assert_allclose(stationary_covariance(model), ss.Q, atol=1e-14)
+        np.testing.assert_allclose(stationary_covariance(model), companion(model)[1], atol=1e-14)
 
     def test_white_process_higher_order_is_diagonal(self):
         # zero coefficients still shift history, so every slot carries the
@@ -171,17 +175,17 @@ class TestStationaryCovariance:
     def test_residual_bound(self):
         for k in range(5):
             model = make_consistent_model(6, seed=(81, k))
-            ss = build_state_space(model)
+            a, q = companion(model)
             pinf = stationary_covariance(model)
-            residual = np.linalg.norm(pinf - ss.A @ pinf @ ss.A.conj().T - ss.Q)
-            assert residual <= 1e-10 * np.linalg.norm(ss.Q) + 1e-12 * np.linalg.norm(pinf) * ss.p
+            residual = np.linalg.norm(pinf - a @ pinf @ a.conj().T - q)
+            assert residual <= 1e-10 * np.linalg.norm(q) + 1e-12 * np.linalg.norm(pinf) * model.p
 
     def test_matches_brute_force_kron_inverse(self):
         # independent oracle: explicit inverse of the vectorized fixed point
         model = make_consistent_model(4, seed=(81, 9))
-        ss = build_state_space(model)
-        lhs = np.eye(16, dtype=complex) - np.kron(np.conj(ss.A), ss.A)
-        expected = (np.linalg.inv(lhs) @ ss.Q.reshape(-1, order="F")).reshape(4, 4, order="F")
+        a, q = companion(model)
+        lhs = np.eye(16, dtype=complex) - np.kron(np.conj(a), a)
+        expected = (np.linalg.inv(lhs) @ q.reshape(-1, order="F")).reshape(4, 4, order="F")
         np.testing.assert_allclose(stationary_covariance(model), expected, atol=1e-12)
 
     def test_top_row_matches_fitted_lags(self):
@@ -198,15 +202,22 @@ class TestStationaryCovariance:
         ids=["toy", "W5N200p37", "W2N100p20", "W2N50p20"],
     )
     def test_matches_burned_in_law(self, complex_root_model, case):
-        # a burn-in of 14 / margin steps leaves a transient below e^-28
+        # a burn-in of 14 / margin steps leaves a transient below e^-28; the
+        # spectral lags and the smoother's cached factor are two routes to it
         if case == "toy":
             model = complex_root_model
         else:
             w, n, p = case
             model = fit_clarke_model(ClarkeModel(W=w, N=n), p)
         oracle = burned_in_oracle(model, math.ceil(14 / check_stability(model).margin))
-        pinf = stationary_covariance(model).astype(np.clongdouble)
-        assert np.linalg.norm(pinf - oracle) <= 1e-6 * np.linalg.norm(oracle)
+        pinf = stationary_covariance(model)
+        factor = model.stationary_factor
+        from_factor = factor.conj().T @ factor
+        assert np.linalg.norm(pinf.astype(np.clongdouble) - oracle) <= 1e-6 * np.linalg.norm(oracle)
+        assert np.linalg.norm(from_factor.astype(np.clongdouble) - oracle) <= 1e-6 * np.linalg.norm(oracle)
+        assert np.linalg.norm(from_factor - pinf) <= 1e-6 * np.linalg.norm(pinf)
+        assert np.array_equal(np.triu(factor), factor)
+        assert model.stationary_factor is factor
 
     def test_spectral_radius_validated(self):
         from faschan.arfit import ArpModel
@@ -219,11 +230,9 @@ class TestStationaryCovariance:
 class TestKalmanSmooth:
     def test_full_observation_reproduces_data(self):
         model = make_consistent_model(4, seed=(82, 0))
-        ss = build_state_space(model)
-        prior = stationary_covariance(model)
         truth = sample_exact(eigen_spectrum(arp_induced_covariance(model, 40)), (82, 1), 1)[0]
         obs = ObservationSet(indices=np.arange(1, 41), values=truth, noise_var=0.0)
-        result = kalman_smooth(ss, prior, obs, 40)
+        result = kalman_smooth(model, obs, 40)
         np.testing.assert_allclose(result.means, truth, rtol=1e-6)
         assert np.all(result.variances <= 2 * NOISE_FLOOR_FACTOR * model.r0)
 
@@ -244,7 +253,7 @@ class TestKalmanSmooth:
                 values = values + np.sqrt(noise) * complex_standard_normal(make_rng((86, trial)), m)
             obs = ObservationSet(indices=idx, values=values, noise_var=noise)
             dense = dense_mmse(cov, obs)
-            kalman = kalman_smooth(build_state_space(model), stationary_covariance(model), obs, n)
+            kalman = kalman_smooth(model, obs, n)
             scale = max(np.abs(dense.means).max(), 1e-12)
             assert np.abs(dense.means - kalman.means).max() <= 1e-6 * scale
             assert np.abs(dense.variances - kalman.variances).max() <= 1e-6 * model.r0
@@ -253,11 +262,9 @@ class TestKalmanSmooth:
         # conditioning an AR(1) on one port: variance r0*(1 - c^(2|k-m|))
         c = 0.8
         model = yule_walker_fit([1.0, c])
-        ss = build_state_space(model)
-        prior = stationary_covariance(model)
         n, mid = 21, 11
         obs = ObservationSet(indices=[mid], values=[0.7 - 0.2j], noise_var=0.0)
-        result = kalman_smooth(ss, prior, obs, n)
+        result = kalman_smooth(model, obs, n)
         distances = np.abs(np.arange(1, n + 1) - mid)
         expected = 1.0 - c ** (2.0 * distances)
         np.testing.assert_allclose(result.variances, expected, atol=1e-6)
@@ -268,7 +275,15 @@ class TestKalmanSmooth:
         model = make_consistent_model(2, seed=(87, 0))
         obs = ObservationSet(indices=[11], values=[0j])
         with pytest.raises(ValueError):
-            kalman_smooth(build_state_space(model), stationary_covariance(model), obs, 10)
+            kalman_smooth(model, obs, 10)
+
+    def test_unstable_refused(self):
+        from faschan.arfit import ArpModel
+
+        bad = ArpModel(alpha=np.array([1.1 + 0j]), sigma_eps2=1.0, p=1, source_lags=np.array([1.0, 0.9 + 0j]))
+        obs = ObservationSet(indices=[2], values=[1.0 + 0j])
+        with pytest.raises(UnstableModelError):
+            kalman_smooth(bad, obs, 10)
 
 
 class TestStackedReconstruction:
@@ -289,8 +304,7 @@ class TestStackedReconstruction:
     def test_rows_match_single_vector_calls(self):
         for model, cov, n, idx, noise in self._cases():
             values = complex_standard_normal(make_rng((88, 2, n)), (self.ROWS, idx.size))
-            space, prior = build_state_space(model), stationary_covariance(model)
-            routes = (lambda o: dense_mmse(cov, o), lambda o: kalman_smooth(space, prior, o, n))
+            routes = (lambda o: dense_mmse(cov, o), lambda o: kalman_smooth(model, o, n))
             for route in routes:
                 stacked = route(ObservationSet(indices=idx, values=values, noise_var=noise))
                 assert stacked.means.shape == (self.ROWS, n)
