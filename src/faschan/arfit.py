@@ -11,21 +11,31 @@ prior is the model's cached ``ArpModel.stationary_factor``.
 
 Order selection follows the Monte-Carlo procedure: an exact-model reference
 sample of the selection gain, one simulated sample per stable candidate
-order, and the two-sample KS distance between them decides the order.
+order, and the two-sample KS distance between them decides the order.  The
+candidates' samples share their rows: each row's normals are drawn once and
+drive every candidate (common random numbers), so candidates differ by
+model rather than by stream noise.  Every sample is reduced to max gains a
+chunk of rows at a time, so memory does not grow with the sample size.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 from scipy.linalg import toeplitz
 
-from .correlation import ClarkeModel, ToeplitzCovariance, build_covariance, clarke_autocorrelation, eigen_spectrum, sample_exact
+from .correlation import (
+    ClarkeModel,
+    EigenSpectrum,
+    ToeplitzCovariance,
+    build_covariance,
+    clarke_autocorrelation,
+    eigen_spectrum,
+)
 from .errors import FitError, UnstableModelError
-from .rng import derive
+from .rng import derive, make_rng
 from .stats import ks_distance, max_gain
 
 # roots with modulus >= 1 - DELTA_STAB count as unstable
@@ -240,6 +250,36 @@ def arp_induced_covariance(model: ArpModel, N: int) -> ToeplitzCovariance:
     return ToeplitzCovariance(first_row=lags, N=N)
 
 
+def _reference_gains(spectrum: EigenSpectrum, seed, count: int, chunk_rows: int) -> np.ndarray:
+    """``max_gain(sample_exact(spectrum, seed, count))``, chunk_rows rows at a time.
+
+    ``sample_exact`` draws one (count, N) block of real parts and then one of
+    imaginary parts from a single stream.  Two copies of that stream give the
+    same normals chunk by chunk: one reads the real parts in order, the other
+    first skips the count * N real parts, a chunk at a time, then reads the
+    imaginary parts.  Each chunk's rows are sampled and reduced as in the
+    whole block, and a power-of-two chunk_rows starts every chunk where one
+    of the whole block's BLAS row groups starts, so each row's product
+    rounds alike: the gains are bit-identical, and memory does not grow with
+    count.
+    """
+    n = spectrum.eigenvalues.size
+    factor = spectrum.eigenvectors * np.sqrt(spectrum.eigenvalues)[None, :]
+    real, imag = make_rng(seed), make_rng(seed)
+    for start in range(0, count, chunk_rows):
+        imag.standard_normal((min(chunk_rows, count - start), n))
+    gains = np.empty(count)
+    for start in range(0, count, chunk_rows):
+        rows = min(chunk_rows, count - start)
+        # combined as complex_standard_normal combines them, and freed once
+        # multiplied, as sample_exact frees them
+        g0 = (real.standard_normal((rows, n)) + 1j * imag.standard_normal((rows, n))) / np.sqrt(2.0)
+        samples = g0 @ factor.T
+        del g0
+        gains[start : start + rows] = max_gain(samples)
+    return gains
+
+
 def select_order(
     model: ClarkeModel,
     p_max: int,
@@ -250,13 +290,17 @@ def select_order(
 ) -> OrderSelectionResult:
     """Pick the AR order whose simulated selection-gain CDF is KS-closest to exact.
 
-    One exact-model reference sample and one independent simulated sample
-    per stable candidate order, all of size ``mc_samples``; a candidate
-    keeps only its simulated rows' max gains.  Unstable orders are
-    excluded.  Ties within TIE_TOL of the best distance go to the
-    smallest order.
+    One exact-model reference sample, and one simulated sample per stable
+    candidate order, all of size ``mc_samples`` and all kept only as max
+    gains, chunk by chunk, so memory does not grow with ``mc_samples``.
+    The candidates share their rows (common random numbers): row i's
+    normals come from the derived seed (seed, 1, i) and drive every
+    candidate, each from its own burned-in start, so candidates differ by
+    model and not by stream noise.  ``workers`` threads share each chunk's
+    candidates.  Unstable orders are excluded.  Ties within TIE_TOL of the
+    best distance go to the smallest order.
     """
-    from .generator import SimulationConfig, simulate_max_gains
+    from .generator import CHUNK_ROWS, SimulationConfig, simulate_max_gains
 
     if not 1 <= p_max <= model.N - 1:
         raise ValueError(f"p_max must be in [1, N-1], got {p_max}")
@@ -264,32 +308,19 @@ def select_order(
         raise ValueError(f"mc_samples must be >= 1000, got {mc_samples}")
 
     spectrum = eigen_spectrum(build_covariance(model))
-    reference = max_gain(sample_exact(spectrum, derive(seed, _REF_BRANCH), mc_samples))
-
-    def evaluate(p: int) -> "tuple[int, float | None]":
-        fitted = fit_clarke_model(model, p)
-        if not check_stability(fitted).stable:
-            return p, None
-        config = SimulationConfig(N=model.N, B=burn_in_factor * model.N, seed=derive(seed, _CANDIDATE_BRANCH, p))
-        gains = simulate_max_gains(fitted, config, mc_samples)
-        return p, ks_distance(reference, gains)
-
-    orders = range(1, p_max + 1)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(evaluate, orders))
-    else:
-        results = [evaluate(p) for p in orders]
-
-    distances = {p: d for p, d in results if d is not None}
-    unstable = tuple(p for p, d in results if d is None)
-    if not distances:
+    reference = _reference_gains(spectrum, derive(seed, _REF_BRANCH), mc_samples, CHUNK_ROWS)
+    fits = [fit_clarke_model(model, p) for p in range(1, p_max + 1)]
+    stable = [fitted for fitted in fits if check_stability(fitted).stable]
+    if not stable:
         raise FitError(f"no stable candidate order in [1, {p_max}]")
+    config = SimulationConfig(N=model.N, B=burn_in_factor * model.N, seed=derive(seed, _CANDIDATE_BRANCH))
+    gains = simulate_max_gains(stable, config, mc_samples, workers)
+    distances = {fitted.p: ks_distance(reference, row) for fitted, row in zip(stable, gains)}
     best = min(distances.values())
     p_star = min(p for p, d in distances.items() if d <= best + TIE_TOL)
     return OrderSelectionResult(
         p_star=p_star,
         distances=distances,
         reference_sample_count=mc_samples,
-        unstable_orders=unstable,
+        unstable_orders=tuple(fitted.p for fitted in fits if fitted.p not in distances),
     )

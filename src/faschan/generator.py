@@ -13,19 +13,26 @@ reproducible in isolation from its seed.
 ``burned_in_states`` draws the same lifted state for many rows from one
 seed (the particle evaluator's starting swarm).
 
-Rows are simulated CHUNK_ROWS at a time: each chunk's normals are drawn row
-by row, lifted, transposed once into a time-major recursion buffer, and
-handed on as (rows, N) blocks.  ``simulate_batch`` copies the blocks into
-its (count, N) output and ``simulate_max_gains`` keeps only their max gains,
-so working memory beyond the output is one chunk's buffers, whatever the
-count.  Every row's arithmetic, the start product included, is the same in
-any chunk, so the chunking does not change a single bit of the output.
+Rows are simulated CHUNK_ROWS at a time in two stages: the row normals are
+drawn, then each model drives its recursion with them (``_simulate``).
+``simulate_max_gains`` takes several models of one row length and drives
+them all with the same normals (common random numbers), drawing each row's
+normals once per call instead of once per model, and keeps only each
+model's max gains; ``workers`` threads share a chunk's models.
+``simulate_batch`` copies its one model's (rows, N) blocks into its
+(count, N) output.  Working memory beyond the output is one chunk's
+buffers, whatever the count.  Every row's arithmetic, the start product
+included, is the same in any chunk and for any set of models, so neither
+the chunking nor the sharing changes a single bit of a model's output.
 """
 
 from __future__ import annotations
 
+import queue
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -60,57 +67,109 @@ class SimulationConfig:
             raise ValueError(f"B must be >= 0, got {self.B}")
 
 
-def _chunks(
-    model: ArpModel, config: SimulationConfig, count: int, row_seed: Callable[[int], object]
-) -> Iterator["tuple[int, np.ndarray]"]:
-    """Yield (start, block): rows start .. start + len(block) - 1, block (rows, N).
+class _Work:
+    """One thread's buffers for driving a model over a chunk of up to ``width`` rows."""
 
-    Row j draws max(N, p) standard normals from the stream of row_seed(j).
-    The first p become ports 1..p through the conjugated burned-in factor,
-    one matrix-vector product per row (``_rowwise``), so the start rounds
-    as it would for a lone row.  The recursion g_k = sum_i alpha_i g_{k-i}
-    + eps_k then runs ports p+1..N in a time-major buffer, so every lag
-    access is a contiguous row.  Each step forms its p lag products in one
-    call and adds them to eps_k one at a time in a fixed order, so each
-    realization's trajectory is bit-identical no matter how many
-    realizations share the chunk.  The block is a view of a buffer the
-    next chunk overwrites.
-    """
-    p, n = model.p, config.N
-    length = max(n, p)
-    # F^H e is [g_{B+p}, ..., g_{B+1}]; its rows reversed give ports 1..p in order
-    lift = np.ascontiguousarray(burned_in_factor(model, config.B).conj().T[::-1])
-    alpha_col = model.alpha[:, None]
-    scale = np.sqrt(model.sigma_eps2)
-    width = min(CHUNK_ROWS, count)
-    draws = np.empty((min(_DRAW_ROWS, width), length), dtype=np.complex128)
-    g = np.empty((length, width), dtype=np.complex128)
-    products = np.empty((p, width), dtype=np.complex128)
-    for start in range(0, count, width):
-        rows = min(width, count - start)
-        buf, terms = g[:, :rows], products[:, :rows]
-        for first in range(0, rows, draws.shape[0]):
-            block = draws[: min(draws.shape[0], rows - first)]
-            for j in range(block.shape[0]):
-                block[j] = complex_standard_normal(make_rng(row_seed(start + first + j)), length)
-            block[:, :p] = _rowwise(lift, block[:, :p])
-            block[:, p:] *= scale
+    def __init__(self, length: int, width: int, p_max: int):
+        self.draws = np.empty((min(_DRAW_ROWS, width), length), dtype=np.complex128)
+        self.g = np.empty((length, width), dtype=np.complex128)
+        self.products = np.empty((p_max, width), dtype=np.complex128)
+
+    def drive(
+        self,
+        model: ArpModel,
+        lift: np.ndarray,
+        n: int,
+        rows: int,
+        normals: Callable[[int, np.ndarray], np.ndarray],
+    ) -> np.ndarray:
+        """(rows, N) realizations of one chunk, a view of this thread's buffer.
+
+        ``normals(first, scratch)`` returns rows first .. first + len(scratch) - 1
+        of the chunk's standard normals, (rows, max(N, p)); it may draw them
+        into ``scratch``.  The first p of each row become ports 1..p through
+        the conjugated burned-in factor ``lift``, one matrix-vector product
+        per row (``_rowwise``), so the start rounds as it would for a lone
+        row.  The rest, scaled by sigma_eps, drive the recursion
+        g_k = sum_i alpha_i g_{k-i} + eps_k over ports p+1..N in a time-major
+        buffer, so every lag access is a contiguous row.  Each step forms its
+        p lag products in one call and adds them to eps_k one at a time in a
+        fixed order, so each realization's trajectory is bit-identical no
+        matter how many realizations share the chunk.
+        """
+        p = model.p
+        scale = np.sqrt(model.sigma_eps2)
+        buf, terms = self.g[:, :rows], self.products[:p, :rows]
+        for first in range(0, rows, self.draws.shape[0]):
+            block = self.draws[: min(self.draws.shape[0], rows - first)]
+            source = normals(first, block)
+            block[:, :p] = _rowwise(lift, source[:, :p])
+            np.multiply(source[:, p:], scale, out=block[:, p:])
             buf[:, first : first + block.shape[0]] = block.T
+        alpha_col = model.alpha[:, None]
         for k in range(p, n):
             # terms[i] = alpha_i g_{k-1-i}
             np.multiply(alpha_col, buf[k - p : k][::-1], out=terms)
             acc = buf[k]
             for term in terms:
                 acc += term
-        yield start, buf[:n].T
+        return buf[:n].T
 
 
-def _simulate_rows(model: ArpModel, config: SimulationConfig, count: int, row_seed) -> np.ndarray:
-    """(count, N) realizations; row j is driven by the stream of row_seed(j)."""
-    out = np.empty((count, config.N), dtype=np.complex128)
-    for start, block in _chunks(model, config, count, row_seed):
-        out[start : start + block.shape[0]] = block
-    return out
+def _draw(block: np.ndarray, first: int, row_seed: Callable[[int], object]) -> np.ndarray:
+    """Fill ``block``'s rows with the normals of rows first, first + 1, ... and return it."""
+    for j in range(block.shape[0]):
+        block[j] = complex_standard_normal(make_rng(row_seed(first + j)), block.shape[1])
+    return block
+
+
+def _simulate(
+    models: "Sequence[ArpModel]",
+    config: SimulationConfig,
+    count: int,
+    row_seed: Callable[[int], object],
+    keep: Callable[[int, int, np.ndarray], None],
+    workers: int = 1,
+) -> None:
+    """Drive every model with the same rows; keep(m, start, block) takes each chunk.
+
+    Row j draws max(N, p) standard normals from the stream of row_seed(j),
+    once per call.  A lone model draws them straight into its scratch rows;
+    several models share one (rows, max(N, p)) block per chunk, drawn first
+    and read by each model's drive.  ``block`` holds model m's rows start ..
+    start + len(block) - 1, a view of a buffer the next chunk overwrites.
+    With workers > 1 the models of a chunk run on that many threads, each
+    with its own buffers; every model still sees the same normals.
+    """
+    length = max(config.N, models[0].p)
+    width = min(CHUNK_ROWS, count)
+    # F^H e is [g_{B+p}, ..., g_{B+1}]; its rows reversed give ports 1..p in order
+    lifts = [np.ascontiguousarray(burned_in_factor(m, config.B).conj().T[::-1]) for m in models]
+    threads = max(1, min(workers, len(models)))
+    free: "queue.SimpleQueue[_Work]" = queue.SimpleQueue()
+    for _ in range(threads):
+        free.put(_Work(length, width, max(m.p for m in models)))
+    shared = np.empty((width, length), dtype=np.complex128) if len(models) > 1 else None
+    with ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
+        for start in range(0, count, width):
+            rows = min(width, count - start)
+            if shared is None:
+                def normals(first, scratch):
+                    return _draw(scratch, start + first, row_seed)
+            else:
+                chunk = _draw(shared[:rows], start, row_seed)
+
+                def normals(first, scratch):
+                    return chunk[first : first + scratch.shape[0]]
+
+            def run(m: int) -> None:
+                work = free.get()
+                try:
+                    keep(m, start, work.drive(models[m], lifts[m], config.N, rows, normals))
+                finally:
+                    free.put(work)
+
+            list((pool.map if pool else map)(run, range(len(models))))
 
 
 def _check(model: ArpModel, count: int) -> None:
@@ -120,29 +179,58 @@ def _check(model: ArpModel, count: int) -> None:
         raise UnstableModelError("refusing to simulate an unstable model")
 
 
+def _simulate_rows(model: ArpModel, config: SimulationConfig, count: int, row_seed) -> np.ndarray:
+    """(count, N) realizations; row j is driven by the stream of row_seed(j)."""
+    _check(model, count)
+    out = np.empty((count, config.N), dtype=np.complex128)
+
+    def keep(_, start, block):
+        out[start : start + block.shape[0]] = block
+
+    _simulate([model], config, count, row_seed, keep)
+    return out
+
+
 def simulate(model: ArpModel, config: SimulationConfig) -> np.ndarray:
     """One length-N realization: ports B+1 .. B+N of the recursion from zeros, in law."""
-    _check(model, 1)
     return _simulate_rows(model, config, 1, lambda _: config.seed)[0]
 
 
 def simulate_batch(model: ArpModel, config: SimulationConfig, count: int) -> np.ndarray:
     """(count, N) independent realizations; row i uses the derived seed (seed, i)."""
-    _check(model, count)
     return _simulate_rows(model, config, count, lambda i: derive(config.seed, i))
 
 
-def simulate_max_gains(model: ArpModel, config: SimulationConfig, count: int) -> np.ndarray:
-    """``max_gain(simulate_batch(model, config, count))``, without holding the batch.
+def simulate_max_gains(
+    models: "Sequence[ArpModel]", config: SimulationConfig, count: int, workers: int = 1
+) -> np.ndarray:
+    """(len(models), count): row m is ``max_gain(simulate_batch(models[m], config, count))``.
 
-    Each chunk is reduced to its rows' max gains as it is produced, so only
-    the (count,) gains outlive it.  ``max_gain`` is exact per row, so the
-    gains are bit-identical to reducing the whole batch.
+    Every model is driven by the same row normals (common random numbers),
+    drawn once: row i's from the derived seed (seed, i), as in
+    ``simulate_batch``.  Each chunk is reduced to its rows' max gains as it
+    is produced, so only the gains outlive it.  ``max_gain`` is exact per
+    row, so each model's gains are bit-identical to reducing its own batch.
+    A row draws all its real parts before its imaginary parts, so rows of
+    different lengths share no bits: every model must have the same
+    max(N, p).  ``workers`` threads share each chunk's models.
     """
-    _check(model, count)
-    gains = np.empty(count)
-    for start, block in _chunks(model, config, count, lambda i: derive(config.seed, i)):
-        gains[start : start + block.shape[0]] = max_gain(block)
+    if not models:
+        raise ValueError("need at least one model")
+    lengths = {max(config.N, m.p) for m in models}
+    if len(lengths) > 1:
+        raise ValueError(f"models must share the row length max(N, p), got {sorted(lengths)}")
+    for model in models:
+        _check(model, count)
+    gains = np.empty((len(models), count))
+
+    def keep(m, start, block):
+        # a few rows at a time, so the |g|^2 temporaries stay small
+        for first in range(0, block.shape[0], _DRAW_ROWS):
+            rows = block[first : first + _DRAW_ROWS]
+            gains[m, start + first : start + first + rows.shape[0]] = max_gain(rows)
+
+    _simulate(models, config, count, lambda i: derive(config.seed, i), keep, workers)
     return gains
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,10 @@ from scipy.linalg import toeplitz
 from scipy.stats import ks_2samp
 
 from faschan.arfit import (
+    _CANDIDATE_BRANCH,
+    _REF_BRANCH,
     _gain_grid_size,
+    _reference_gains,
     arp_induced_covariance,
     check_stability,
     fit_clarke_model,
@@ -14,10 +18,11 @@ from faschan.arfit import (
     unit_noise_gain,
     yule_walker_fit,
 )
-from faschan.correlation import ClarkeModel, clarke_autocorrelation
+from faschan.correlation import ClarkeModel, build_covariance, clarke_autocorrelation, eigen_spectrum, sample_exact
 from faschan.errors import FitError, UnstableModelError
-from faschan.rng import make_rng
-from faschan.stats import ks_distance
+from faschan.generator import CHUNK_ROWS, SimulationConfig, simulate_max_gains
+from faschan.rng import derive, make_rng
+from faschan.stats import ks_distance, max_gain
 
 from conftest import companion, impulse_response_lags, make_consistent_model
 
@@ -246,6 +251,45 @@ class TestSelectOrder:
         assert serial.p_star == threaded.p_star
         assert serial.distances == threaded.distances
 
+    def test_candidates_match_the_shared_row_batch_path(self):
+        # every candidate reads the rows of one stream, (seed, 1, i) for row i,
+        # and the reference is sample_exact's, reduced a chunk at a time
+        model, seed, mc = ClarkeModel(W=1.0, N=20), 6, CHUNK_ROWS + 3
+        result = select_order(model, p_max=3, mc_samples=mc, seed=seed)
+        spectrum = eigen_spectrum(build_covariance(model))
+        reference = max_gain(sample_exact(spectrum, derive(seed, _REF_BRANCH), mc))
+        config = SimulationConfig(N=model.N, B=5 * model.N, seed=derive(seed, _CANDIDATE_BRANCH))
+        assert set(result.distances) == {1, 2, 3}
+        for p, distance in result.distances.items():
+            gains = simulate_max_gains([fit_clarke_model(model, p)], config, mc)[0]
+            assert distance == ks_distance(reference, gains)
+
+    def test_reference_gains_match_the_whole_block(self):
+        spectrum = eigen_spectrum(build_covariance(ClarkeModel(W=2.0, N=30)))
+        count = CHUNK_ROWS + 3
+        whole = max_gain(sample_exact(spectrum, (8, 0), count))
+        np.testing.assert_array_equal(_reference_gains(spectrum, (8, 0), count, CHUNK_ROWS), whole)
+        # many chunks, the last one short; chunks of a power-of-two size start
+        # where the whole block's BLAS row groups start, so rows round alike
+        np.testing.assert_array_equal(
+            _reference_gains(spectrum, (8, 0), 50, 16), max_gain(sample_exact(spectrum, (8, 0), 50))
+        )
+
+    def test_peak_memory_independent_of_mc(self):
+        # the reference and both candidates (one shared-row call) are reduced
+        # chunk by chunk, so only (mc,) gain vectors grow with mc; the result
+        # itself is a small dict
+        model = ClarkeModel(W=1.0, N=32)
+        peaks = []
+        for mc in (2 * CHUNK_ROWS, 4 * CHUNK_ROWS):
+            tracemalloc.start()
+            try:
+                select_order(model, p_max=2, mc_samples=mc, seed=7)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] == pytest.approx(peaks[0], rel=0.1)
+
     def test_parameter_validation(self):
         model = ClarkeModel(W=1.0, N=20)
         with pytest.raises(ValueError):
@@ -262,7 +306,7 @@ class TestSelectOrder:
         def no_work(*args, **kwargs):
             raise AssertionError("select_order did work before its range check")
 
-        monkeypatch.setattr(faschan.arfit, "sample_exact", no_work)
+        monkeypatch.setattr(faschan.arfit, "eigen_spectrum", no_work)
         monkeypatch.setattr(faschan.arfit, "fit_clarke_model", no_work)
         with pytest.raises(ValueError, match="p_max"):
             select_order(ClarkeModel(W=1.0, N=20), p_max=20, mc_samples=1000)

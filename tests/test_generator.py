@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 
 import numpy as np
@@ -161,8 +162,43 @@ class TestSimulateMaxGains:
         config = SimulationConfig(N=12, B=24, seed=5)
         count = CHUNK_ROWS + 3
         np.testing.assert_array_equal(
-            simulate_max_gains(model, config, count), max_gain(simulate_batch(model, config, count))
+            simulate_max_gains([model], config, count)[0], max_gain(simulate_batch(model, config, count))
         )
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_rows_match_one_model_calls(self, workers):
+        # common random numbers: every model reads the same row normals, so
+        # sharing a call changes no model's bits, across a chunk boundary too
+        models = [make_consistent_model(p, seed=(68, p), max_mod=0.8) for p in (1, 3, 5)]
+        config = SimulationConfig(N=12, B=24, seed=7)
+        count = CHUNK_ROWS + 3
+        gains = simulate_max_gains(models, config, count, workers=workers)
+        assert gains.shape == (len(models), count)
+        for model, row in zip(models, gains):
+            np.testing.assert_array_equal(row, simulate_max_gains([model], config, count)[0])
+
+    def test_threads_share_no_buffers(self):
+        # more threads than cores and a short switch interval: a buffer used by
+        # two threads at once, or a lost write, would change some model's gains
+        models = [make_consistent_model(p, seed=(70, p), max_mod=0.8) for p in (1, 2, 3, 4, 5, 6)]
+        config = SimulationConfig(N=10, B=20, seed=8)
+        serial = simulate_max_gains(models, config, 600)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = simulate_max_gains(models, config, 600, workers=5)
+        finally:
+            sys.setswitchinterval(interval)
+        np.testing.assert_array_equal(threaded, serial)
+
+    def test_models_must_share_row_length(self):
+        # rows of max(N, p) = 3 and 5 normals share no bits
+        short, long = (make_consistent_model(p, seed=(69, p), max_mod=0.8) for p in (2, 5))
+        with pytest.raises(ValueError, match="row length"):
+            simulate_max_gains([short, long], SimulationConfig(N=3, B=6, seed=1), 10)
+        with pytest.raises(ValueError):
+            simulate_max_gains([], SimulationConfig(N=3, B=6, seed=1), 10)
+        assert simulate_max_gains([short, short], SimulationConfig(N=3, B=6, seed=1), 10).shape == (2, 10)
 
     def test_working_memory_independent_of_count(self):
         # only the (count,) gains outlive each chunk
@@ -172,7 +208,7 @@ class TestSimulateMaxGains:
         for count in (2 * CHUNK_ROWS, 4 * CHUNK_ROWS):
             tracemalloc.start()
             try:
-                gains = simulate_max_gains(model, config, count)
+                gains = simulate_max_gains([model], config, count)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
