@@ -11,7 +11,10 @@ B + N steps from zeros exactly, for every B >= 0, and any single row is
 reproducible in isolation from its seed.
 
 ``burned_in_states`` draws the same lifted state for many rows from one
-seed (the particle evaluator's starting swarm).
+seed (the particle evaluator's starting swarm).  The factor takes the
+impulse response a block at a time from a compiled banded solve and folds
+each block in by QR at fixed block boundaries, which fix the signs of its
+rows and hence every realization's bits.
 
 Rows are simulated CHUNK_ROWS at a time in two stages: the row normals are
 drawn, then each model drives its recursion with them (``_simulate``).
@@ -36,6 +39,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+from scipy.linalg import blas, lapack
 
 from .arfit import ArpModel, check_stability
 from .errors import UnstableModelError
@@ -48,7 +52,8 @@ from .stats import max_gain
 CHUNK_ROWS = 8192
 # rows whose normals are drawn and lifted row-major before each transpose
 _DRAW_ROWS = 256
-# impulse-response rows folded into the burn-in factor per QR update
+# impulse-response rows folded into the burn-in factor per QR update; fixed,
+# because the block boundaries set the signs of the factor's rows
 _FACTOR_ROWS = 256
 
 
@@ -244,26 +249,38 @@ def burned_in_factor(model: ArpModel, B: int) -> np.ndarray:
     CN(0, sigma_eps2 H H^H) where row a of the p x (B+p) matrix H is h
     shifted right by a.  F = sqrt(sigma_eps2) R with R the triangular factor
     of H^H, which is PSD by construction.  Row m of H^H is the conjugated
-    lifted impulse state [h_m, ..., h_{m-p+1}]; h comes from the float64
-    recursion and is folded into R in blocks of rows, each QR-factored under
-    the R so far, so memory does not grow with B.
+    lifted impulse state [h_m, ..., h_{m-p+1}].
+
+    R starts as row 0, (h_0, 0, ..., 0) with h_0 = 1, and the rows from 1 on
+    are folded in _FACTOR_ROWS at a time, each block QR-factored under the R
+    so far, so memory does not grow with B.  Each block's responses come
+    from one compiled banded solve (``ztbsv``): a unit lower-triangular
+    system whose first p rows carry the previous p responses and whose row
+    i >= p reads h_i - sum_d alpha_d h_{i-d} = 0.  The start and the block
+    boundaries are fixed, not tuning: each QR's Householder steps set the
+    signs of R's rows, so another start or block size gives a factor of the
+    same law whose rows differ in sign, and every realization drawn through
+    it would change.
     """
     if B < 0:
         raise ValueError(f"B must be >= 0, got {B}")
     p = model.p
-    reversed_alpha = model.alpha[::-1]
-    # row 0 of H^H is (h_0, 0, ..., 0) with h_0 = 1; buf holds the p
-    # responses before each block, oldest first, then the block's own
-    buf = np.zeros(p + _FACTOR_ROWS, dtype=np.complex128)
-    buf[p - 1] = 1.0
+    # lower band storage: band[d, j] is the system's entry (j + d, j)
+    band = np.zeros((p + 1, p + _FACTOR_ROWS), dtype=np.complex128, order="F")
+    for d in range(1, p + 1):
+        band[d, p - d :] = -model.alpha[d - 1]
+    # the p responses before each block, oldest first, then the block's own
+    h = np.zeros(p + _FACTOR_ROWS, dtype=np.complex128)
+    h[p - 1] = 1.0
     r = np.eye(1, p, dtype=np.complex128)
     for start in range(1, B + p, _FACTOR_ROWS):
         rows = min(_FACTOR_ROWS, B + p - start)
-        for j in range(rows):
-            buf[p + j] = reversed_alpha @ buf[j : p + j]
-        block = sliding_window_view(buf[1 : p + rows], p)[:, ::-1]
-        r = np.linalg.qr(np.vstack((r, block.conj())), mode="r")
-        buf[:p] = buf[rows : p + rows]
+        n = p + rows
+        h[p:n] = 0.0
+        h[:n] = blas.ztbsv(p, band[:, :n], h[:n], lower=1, diag=1)
+        block = sliding_window_view(h[1:n], p)[:, ::-1].conj()
+        r = np.triu(lapack.zgeqrf(np.vstack((r, block)), overwrite_a=1)[0][:p])
+        h[:p] = h[rows:n]
     return np.sqrt(model.sigma_eps2) * r
 
 

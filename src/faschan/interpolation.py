@@ -197,6 +197,8 @@ def kalman_smooth(model: ArpModel, obs: ObservationSet, N: int) -> Reconstructio
     t = rows.shape[0]
     y = dict(zip(obs.indices.tolist(), rows.T))
     upper = np.triu(np.ones((p, p), dtype=bool))
+    eye = np.eye(p)
+    conj_alpha_col = np.conj(alpha)[:, None]
 
     def advance(m):  # A m for each row m of a (T, p) stack
         return np.concatenate((_rowwise(alpha[None], m), m[:, :-1]), axis=1)
@@ -210,7 +212,9 @@ def kalman_smooth(model: ArpModel, obs: ObservationSet, N: int) -> Reconstructio
     for k in range(1, N + 1):
         if k > 1:
             mean = advance(mean)
-            predict[:p] = np.concatenate((s @ np.conj(alpha)[:, None], s[:, :-1], s), axis=1)
+            np.matmul(s, conj_alpha_col, out=predict[:p, :1])
+            predict[:p, 1:p] = s[:, :-1]
+            predict[:p, p:] = s
             predict[p] = 0.0
             predict[p, 0] = sigma_eps
             r = lapack.zgeqrf(predict, overwrite_a=1)[0]
@@ -234,15 +238,17 @@ def kalman_smooth(model: ArpModel, obs: ObservationSet, N: int) -> Reconstructio
     means_out[:, N - 1] = mean_s[:, 0]
     vars_out[N - 1] = abs(s[0, 0]) ** 2
     smooth = np.empty((2 * p + 1, p), dtype=np.complex128, order="F")
+    joseph = np.empty((p, p), dtype=np.complex128)
     for k in range(N - 1, 0, -1):
         mean_f, gain_h = means_f[k - 1], gains_h[k]
         mean_s = mean_f + _rowwise(gain_h.conj().T, mean_s - advance(mean_f))
         # I - A^H G^H: row i of A^H G^H is conj(alpha_i) G^H[0] + G^H[i + 1]
-        joseph = np.eye(p) - np.conj(alpha)[:, None] * gain_h[0]
+        np.multiply(conj_alpha_col, gain_h[0], out=joseph)
+        np.subtract(eye, joseph, out=joseph)
         joseph[:-1] -= gain_h[1:]
-        smooth[:p] = factors_f[k - 1] @ joseph
+        np.matmul(factors_f[k - 1], joseph, out=smooth[:p])
         smooth[p] = sigma_eps * gain_h[0]
-        smooth[p + 1 :] = s @ gain_h
+        np.matmul(s, gain_h, out=smooth[p + 1 :])
         s = lapack.zgeqrf(smooth, overwrite_a=1)[0][:p] * upper
         if not np.all(np.isfinite(s)):
             raise NumericalError(f"smoother factor became non-finite at port {k}")

@@ -96,3 +96,25 @@ def impulse_response_lags(model: ArpModel, N: int, steps: int) -> np.ndarray:
     h = impulse_response(model, steps + N)
     head = np.conj(h[:steps])
     return np.clongdouble(model.sigma_eps2) * np.array([np.sum(h[l : l + steps] * head) for l in range(N)])
+
+
+def burned_in_factor_loop(model: ArpModel, B: int, block: int = 256) -> np.ndarray:
+    """``generator.burned_in_factor`` computed one impulse-response step at a time.
+
+    The float64 per-step reference for the factor's values and row signs:
+    the same row-0 start and ``block``-row QR folds, with h from one
+    ``reversed_alpha @ window`` dot per step instead of a banded solve.
+    """
+    p = model.p
+    reversed_alpha = model.alpha[::-1]
+    buf = np.zeros(p + block, dtype=np.complex128)
+    buf[p - 1] = 1.0
+    r = np.eye(1, p, dtype=np.complex128)
+    for start in range(1, B + p, block):
+        rows = min(block, B + p - start)
+        for j in range(rows):
+            buf[p + j] = reversed_alpha @ buf[j : p + j]
+        window = np.lib.stride_tricks.sliding_window_view(buf[1 : p + rows], p)[:, ::-1]
+        r = np.linalg.qr(np.vstack((r, window.conj())), mode="r")
+        buf[:p] = buf[rows : p + rows]
+    return np.sqrt(model.sigma_eps2) * r

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -415,3 +419,29 @@ class TestThreadCap:
             max_workers()
         monkeypatch.delenv("FAS_THREADS")
         assert max_workers() >= 1
+
+
+class TestImports:
+    def test_scipy_signal_never_imported(self, tmp_path):
+        # importing scipy.signal adds about 1 s and 47 MB to numpy and
+        # scipy.linalg, more than the impulse-response work its filters
+        # could take over, and every CLI job would pay that set-up cost
+        out = tmp_path / "bench.csv"
+        argv = ["bench", "--W", "2", "--N", "20", "--ratio", "0.2", "--p", "3", "--trials", "2",
+                "--seed", "1", "--no-meta", "--out", str(out)]
+        script = (
+            "import sys\n"
+            "import faschan\n"
+            "from faschan.cli import main\n"
+            f"assert main({argv!r}) == 0\n"
+            "print('scipy.signal' in sys.modules)\n"
+        )
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
+        )
+        assert done.returncode == 0, done.stderr[-2000:]
+        assert out.exists()
+        assert done.stdout.split() == ["False"]

@@ -1,9 +1,11 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from faschan.arfit import ArpModel, fit_clarke_model
+from faschan import generator
+from faschan.arfit import ArpModel, check_stability, fit_clarke_model
 from faschan.correlation import ClarkeModel, build_covariance, eigen_spectrum, sample_exact
 from faschan.errors import UnstableModelError
 from faschan.generator import SimulationConfig, burned_in_factor, burned_in_states, simulate_batch
@@ -11,7 +13,7 @@ from faschan.rng import complex_standard_normal, make_rng
 from faschan.selection_gain import empirical_cdf_max_gain, smc_cdf, systematic_resample
 from faschan.stats import isotonic_non_decreasing, max_gain
 
-from conftest import burned_in_oracle, make_consistent_model
+from conftest import burned_in_factor_loop, burned_in_oracle, make_consistent_model
 
 
 class TestEmpiricalCdf:
@@ -171,11 +173,22 @@ class TestSmcCdf:
 class TestBurnedInLaw:
     @pytest.mark.parametrize(
         "case, B",
-        [("toy", 0), ("toy", 5 * 40), ("W5N200p37", 5 * 200), ("W2N100p20", 5 * 100)],
+        [
+            ("toy", 0),
+            ("toy", 5 * 40),
+            # three whole blocks and a partial one after row 0
+            ("toy", 3 * 256 + 41),
+            ("p1", 0),
+            ("p1", 3 * 256 + 41),
+            ("W5N200p37", 5 * 200),
+            ("W2N100p20", 5 * 100),
+        ],
     )
     def test_factor_matches_impulse_response_oracle(self, complex_root_model, case, B):
         if case == "toy":
             model = complex_root_model
+        elif case == "p1":
+            model = make_consistent_model(1, roots=[0.95 * np.exp(0.4j)])
         elif case == "W5N200p37":
             model = fit_clarke_model(ClarkeModel(W=5.0, N=200), 37)
         else:
@@ -185,6 +198,46 @@ class TestBurnedInLaw:
         oracle = burned_in_oracle(model, B)
         got = (factor.conj().T @ factor).astype(np.clongdouble)
         assert np.linalg.norm(got - oracle) <= 1e-8 * np.linalg.norm(oracle)
+
+    def test_order_above_the_block_size(self, monkeypatch):
+        # p = 10 responses carried into 8-row blocks
+        monkeypatch.setattr(generator, "_FACTOR_ROWS", 8)
+        model = make_consistent_model(10, seed=5, max_mod=0.9)
+        for B in (0, 3, 50):
+            factor = burned_in_factor(model, B)
+            oracle = burned_in_oracle(model, B)
+            got = (factor.conj().T @ factor).astype(np.clongdouble)
+            assert np.linalg.norm(got - oracle) <= 1e-8 * np.linalg.norm(oracle)
+            reference = burned_in_factor_loop(model, B, block=8)
+            assert np.max(np.abs(factor - reference)) <= 1e-6 * np.max(np.abs(reference))
+
+    @pytest.mark.parametrize("case", ["W5N200p37", "W2N100p20-stationary"])
+    def test_factor_keeps_the_per_step_signs(self, case):
+        # each QR fold sets the signs of R's rows, and every realization
+        # drawn through F carries them: the banded solve must reproduce the
+        # per-step loop's F itself, not only its law
+        if case == "W5N200p37":
+            model, B = fit_clarke_model(ClarkeModel(W=5.0, N=200), 37), 5 * 200
+        else:
+            model = fit_clarke_model(ClarkeModel(W=2.0, N=100), 20)
+            B = math.ceil(14 / check_stability(model).margin)
+        factor = burned_in_factor(model, B)
+        reference = burned_in_factor_loop(model, B)
+        assert np.max(np.abs(factor - reference)) <= 1e-6 * np.max(np.abs(reference))
+        if case != "W5N200p37":
+            np.testing.assert_array_equal(model.stationary_factor, factor)
+
+    def test_working_memory_independent_of_B(self):
+        model = make_consistent_model(20, seed=2)
+        peaks = []
+        for B in (10_000, 100_000):
+            tracemalloc.start()
+            try:
+                burned_in_factor(model, B)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] == pytest.approx(peaks[0], rel=0.1)
 
     def test_drawn_states_follow_the_law(self, complex_root_model):
         model, B, count = complex_root_model, 5 * 40, 40_000
