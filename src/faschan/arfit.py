@@ -35,7 +35,7 @@ from .correlation import (
     eigen_spectrum,
 )
 from .errors import FitError, UnstableModelError
-from .rng import derive, make_rng
+from .rng import complex_standard_normal, derive, make_rng
 from .stats import ks_distance, max_gain
 
 # roots with modulus >= 1 - DELTA_STAB count as unstable
@@ -271,9 +271,8 @@ def _reference_gains(spectrum: EigenSpectrum, seed, count: int, chunk_rows: int)
     gains = np.empty(count)
     for start in range(0, count, chunk_rows):
         rows = min(chunk_rows, count - start)
-        # combined as complex_standard_normal combines them, and freed once
-        # multiplied, as sample_exact frees them
-        g0 = (real.standard_normal((rows, n)) + 1j * imag.standard_normal((rows, n))) / np.sqrt(2.0)
+        # freed once multiplied, as sample_exact frees them
+        g0 = complex_standard_normal(real, (rows, n), imag=imag)
         samples = g0 @ factor.T
         del g0
         gains[start : start + rows] = max_gain(samples)

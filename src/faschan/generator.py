@@ -18,6 +18,10 @@ rows and hence every realization's bits.
 
 Rows are simulated CHUNK_ROWS at a time in two stages: the row normals are
 drawn, then each model drives its recursion with them (``_simulate``).
+The draw keys a block of row streams in one vectorised pass
+(``rng.philox_keys``) and re-keys one Philox per row, so row i reads the
+normals of ``make_rng(derive(seed, i))`` bit for bit without building a
+SeedSequence and a Generator for every row.
 ``simulate_max_gains`` takes several models of one row length and drives
 them all with the same normals (common random numbers), drawing each row's
 normals once per call instead of once per model, and keeps only each
@@ -44,7 +48,7 @@ from scipy.linalg import blas, lapack
 from .arfit import ArpModel, check_stability
 from .errors import UnstableModelError
 from .interpolation import _rowwise
-from .rng import complex_standard_normal, derive, make_rng
+from .rng import SQRT_HALF, complex_standard_normal, make_rng, philox_keys
 from .stats import max_gain
 
 # rows per simulation chunk: enough that the per-step numpy calls amortise,
@@ -121,10 +125,26 @@ class _Work:
         return buf[:n].T
 
 
-def _draw(block: np.ndarray, first: int, row_seed: Callable[[int], object]) -> np.ndarray:
-    """Fill ``block``'s rows with the normals of rows first, first + 1, ... and return it."""
-    for j in range(block.shape[0]):
-        block[j] = complex_standard_normal(make_rng(row_seed(first + j)), block.shape[1])
+def _draw(block: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Fill ``block``'s rows with the normals of the streams keyed by ``keys`` and return it.
+
+    Row j gets ``complex_standard_normal(make_rng(seed_j), L)`` bit for bit,
+    keys[j] the stream's ``philox_keys``.  One Philox, built for this call
+    alone so that no two threads share it, is re-keyed per row and draws the
+    row's L real and then L imaginary parts into one float row, which is
+    scaled into the complex row as ``complex_standard_normal`` scales it.
+    """
+    length = block.shape[1]
+    bits = np.random.Philox(0)
+    draw = np.random.Generator(bits).standard_normal
+    state = bits.state  # counter 0, buffer empty: a freshly keyed stream
+    parts = np.empty(2 * length)
+    for row, key in zip(block, keys):
+        state["state"]["key"] = key
+        bits.state = state
+        draw(out=parts)
+        np.multiply(parts[:length], SQRT_HALF, out=row.real)
+        np.multiply(parts[length:], SQRT_HALF, out=row.imag)
     return block
 
 
@@ -132,14 +152,16 @@ def _simulate(
     models: "Sequence[ArpModel]",
     config: SimulationConfig,
     count: int,
-    row_seed: Callable[[int], object],
+    row_keys: Callable[[int, int], np.ndarray],
     keep: Callable[[int, int, np.ndarray], None],
     workers: int = 1,
 ) -> None:
     """Drive every model with the same rows; keep(m, start, block) takes each chunk.
 
-    Row j draws max(N, p) standard normals from the stream of row_seed(j),
-    once per call.  A lone model draws them straight into its scratch rows;
+    Row j draws max(N, p) standard normals from its stream, once per call;
+    row_keys(first, rows) gives the Philox keys of rows first .. first +
+    rows - 1, hashed one block at a time.  A lone model draws them straight
+    into its scratch rows;
     several models share one (rows, max(N, p)) block per chunk, drawn first
     and read by each model's drive.  ``block`` holds model m's rows start ..
     start + len(block) - 1, a view of a buffer the next chunk overwrites.
@@ -160,9 +182,9 @@ def _simulate(
             rows = min(width, count - start)
             if shared is None:
                 def normals(first, scratch):
-                    return _draw(scratch, start + first, row_seed)
+                    return _draw(scratch, row_keys(start + first, scratch.shape[0]))
             else:
-                chunk = _draw(shared[:rows], start, row_seed)
+                chunk = _draw(shared[:rows], row_keys(start, rows))
 
                 def normals(first, scratch):
                     return chunk[first : first + scratch.shape[0]]
@@ -184,26 +206,31 @@ def _check(model: ArpModel, count: int) -> None:
         raise UnstableModelError("refusing to simulate an unstable model")
 
 
-def _simulate_rows(model: ArpModel, config: SimulationConfig, count: int, row_seed) -> np.ndarray:
-    """(count, N) realizations; row j is driven by the stream of row_seed(j)."""
+def _derived_keys(seed) -> Callable[[int, int], np.ndarray]:
+    """``row_keys`` of the derived seeds (seed, i), one row per i."""
+    return lambda first, rows: philox_keys(seed, np.arange(first, first + rows))
+
+
+def _simulate_rows(model: ArpModel, config: SimulationConfig, count: int, row_keys) -> np.ndarray:
+    """(count, N) realizations; rows are driven by the streams ``row_keys`` names."""
     _check(model, count)
     out = np.empty((count, config.N), dtype=np.complex128)
 
     def keep(_, start, block):
         out[start : start + block.shape[0]] = block
 
-    _simulate([model], config, count, row_seed, keep)
+    _simulate([model], config, count, row_keys, keep)
     return out
 
 
 def simulate(model: ArpModel, config: SimulationConfig) -> np.ndarray:
     """One length-N realization: ports B+1 .. B+N of the recursion from zeros, in law."""
-    return _simulate_rows(model, config, 1, lambda _: config.seed)[0]
+    return _simulate_rows(model, config, 1, lambda first, rows: philox_keys(config.seed))[0]
 
 
 def simulate_batch(model: ArpModel, config: SimulationConfig, count: int) -> np.ndarray:
     """(count, N) independent realizations; row i uses the derived seed (seed, i)."""
-    return _simulate_rows(model, config, count, lambda i: derive(config.seed, i))
+    return _simulate_rows(model, config, count, _derived_keys(config.seed))
 
 
 def simulate_max_gains(
@@ -235,7 +262,7 @@ def simulate_max_gains(
             rows = block[first : first + _DRAW_ROWS]
             gains[m, start + first : start + first + rows.shape[0]] = max_gain(rows)
 
-    _simulate(models, config, count, lambda i: derive(config.seed, i), keep, workers)
+    _simulate(models, config, count, _derived_keys(config.seed), keep, workers)
     return gains
 
 

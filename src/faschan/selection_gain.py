@@ -8,6 +8,16 @@ mass, and accumulates the product in log domain.  Systematic resampling
 keeps the swarm effective when truncation kills most particles.  The swarm
 starts from the lifted state after the generator's burn-in, drawn from that
 state's exact law, so no warm-up path is simulated.
+
+The swarm's lifted states live in a newest-first ring of p + _RING_SPARE
+columns per particle: each port writes its fresh values one column to the
+left of the current window, and only when the window reaches the ring's
+left edge are its newest p - 1 columns copied back to the right, once every
+_RING_SPARE ports instead of a shift of the whole swarm per port.
+``ParticleEnsemble.states`` is the current window, a view into the ring, and
+resampling rewrites it in place.  The window is the same newest-first
+(J, p) matrix the per-port shift kept, so ``states @ alpha`` and every
+estimate round exactly as they did.
 """
 
 from __future__ import annotations
@@ -29,6 +39,8 @@ from .stats import isotonic_non_decreasing, max_gain
 _WARMUP_BRANCH = 0
 _PROPAGATE_BRANCH = 1
 _RESAMPLE_BRANCH = 2
+# spare ring columns: the swarm's states are copied back once every this many ports
+_RING_SPARE = 8
 
 
 @dataclass
@@ -36,7 +48,9 @@ class ParticleEnsemble:
     """Swarm state for one threshold: lifted states, weights, survival log-mass.
 
     ``states[:, j]`` holds g_{k-j} for the current port index k; weights form
-    a simplex over the J particles while any survive.
+    a simplex over the J particles while any survive.  In the particle
+    evaluator ``states`` is a (J, p) view into its ring of past states, and
+    resampling rewrites it in place.
     """
 
     states: np.ndarray
@@ -122,7 +136,7 @@ def _survival_update(ensemble: ParticleEnsemble, alive, ess_ratio: float, seed, 
     J = weights.size
     if 1.0 / np.sum(weights**2) < ess_ratio * J:
         ancestors = systematic_resample(weights, derive(seed, _RESAMPLE_BRANCH, step))
-        ensemble.states = ensemble.states[ancestors]
+        ensemble.states[:] = ensemble.states[ancestors]
         weights = np.full(J, 1.0 / J)
     ensemble.weights = weights
     return True
@@ -133,13 +147,18 @@ def _evaluate_threshold(
 ) -> "tuple[float, int]":
     """Survival probability estimate for one threshold, plus extinction step (-1 if none).
 
-    ``start_factor`` is the ``burned_in_factor`` of the starting law.
+    ``start_factor`` is the ``burned_in_factor`` of the starting law.  The
+    states are the window ring[:, head : head + p] of a newest-first ring.
     """
     p = model.p
-    ensemble = ParticleEnsemble(
-        states=burned_in_states(start_factor, J, derive(seed, _WARMUP_BRANCH)),
-        weights=np.full(J, 1.0 / J),
-    )
+    start = burned_in_states(start_factor, J, derive(seed, _WARMUP_BRANCH))
+    # allocated once the draw's temporaries are freed, so that the ring adds
+    # no peak memory over a lone (J, p) state matrix
+    ring = np.empty((J, p + _RING_SPARE), dtype=np.complex128)
+    head = _RING_SPARE
+    ring[:, head:] = start
+    del start
+    ensemble = ParticleEnsemble(states=ring[:, head:], weights=np.full(J, 1.0 / J))
     # ports 1..p are already materialized in the initial state
     for k in range(1, p + 1):
         alive = np.abs(ensemble.states[:, p - k]) ** 2 <= t
@@ -151,8 +170,13 @@ def _evaluate_threshold(
     sigma = np.sqrt(model.sigma_eps2)
     for k in range(p + 1, N + 1):
         fresh = ensemble.states @ model.alpha + sigma * complex_standard_normal(rng, J)
-        ensemble.states[:, 1:] = ensemble.states[:, :-1]
-        ensemble.states[:, 0] = fresh
+        if head == 0:
+            # the window's newest p - 1 states move to the ring's right end
+            ring[:, _RING_SPARE + 1 :] = ring[:, : p - 1]
+            head = _RING_SPARE + 1
+        head -= 1
+        ring[:, head] = fresh
+        ensemble.states = ring[:, head : head + p]
         alive = np.abs(fresh) ** 2 <= t
         if not _survival_update(ensemble, alive, ess_ratio, seed, k):
             return 0.0, k

@@ -118,3 +118,48 @@ def burned_in_factor_loop(model: ArpModel, B: int, block: int = 256) -> np.ndarr
         r = np.linalg.qr(np.vstack((r, window.conj())), mode="r")
         buf[:p] = buf[rows : p + rows]
     return np.sqrt(model.sigma_eps2) * r
+
+
+def evaluate_threshold_shift(model: ArpModel, N: int, t: float, J: int, ess_ratio: float, seed, start_factor):
+    """``selection_gain._evaluate_threshold`` with the swarm's states shifted one column per port.
+
+    The reference for the ring-buffered evaluator: a (J, p) newest-first
+    state matrix whose columns all move right at every port, and resampling
+    that replaces the matrix with its ancestor rows.  The same streams,
+    survival update and estimates otherwise.
+    """
+    from faschan.generator import burned_in_states
+    from faschan.rng import complex_standard_normal, derive
+    from faschan.selection_gain import _PROPAGATE_BRANCH, _RESAMPLE_BRANCH, _WARMUP_BRANCH, systematic_resample
+
+    p = model.p
+    states = burned_in_states(start_factor, J, derive(seed, _WARMUP_BRANCH))
+    weights = np.full(J, 1.0 / J)
+    log_survival = 0.0
+
+    def survive(alive, step):
+        nonlocal states, weights, log_survival
+        c_k = min(float(np.sum(weights[alive])), 1.0)
+        if c_k <= 0.0:
+            return False
+        log_survival += np.log(c_k)
+        weights = np.where(alive, weights, 0.0) / c_k
+        if 1.0 / np.sum(weights**2) < ess_ratio * J:
+            states = states[systematic_resample(weights, derive(seed, _RESAMPLE_BRANCH, step))]
+            weights = np.full(J, 1.0 / J)
+        return True
+
+    for k in range(1, p + 1):
+        if not survive(np.abs(states[:, p - k]) ** 2 <= t, k):
+            return 0.0, k
+        if k >= N:
+            return float(np.exp(log_survival)), -1
+    rng = make_rng(derive(seed, _PROPAGATE_BRANCH))
+    sigma = np.sqrt(model.sigma_eps2)
+    for k in range(p + 1, N + 1):
+        fresh = states @ model.alpha + sigma * complex_standard_normal(rng, J)
+        states[:, 1:] = states[:, :-1]
+        states[:, 0] = fresh
+        if not survive(np.abs(fresh) ** 2 <= t, k):
+            return 0.0, k
+    return float(np.exp(log_survival)), -1

@@ -7,7 +7,15 @@ import pytest
 from faschan.arfit import ArpModel, fit_clarke_model, yule_walker_fit
 from faschan.correlation import ClarkeModel
 from faschan.errors import UnstableModelError
-from faschan.generator import CHUNK_ROWS, SimulationConfig, simulate, simulate_batch, simulate_max_gains
+from faschan.generator import (
+    _DRAW_ROWS,
+    CHUNK_ROWS,
+    SimulationConfig,
+    simulate,
+    simulate_batch,
+    simulate_max_gains,
+)
+from faschan.rng import complex_standard_normal, derive, make_rng
 from faschan.stats import max_gain
 
 from conftest import impulse_response, make_consistent_model
@@ -69,6 +77,33 @@ class TestSimulate:
             lag_errs.append(max(errs))
         mc_scale = 3.0 / np.sqrt(count)
         assert abs(lag_errs[0] - lag_errs[1]) < mc_scale
+
+
+# g_k = eps_k with sigma_eps2 = 1 and a start factor of exactly 1: every
+# realization is its row's standard normals, bit for bit
+WHITE = ArpModel(alpha=np.array([0.0 + 0j]), sigma_eps2=1.0, p=1, source_lags=np.array([1.0, 0.0 + 0j]))
+
+
+class TestRowStreams:
+    # the rows are keyed in one pass per block; each must still read the
+    # normals of its own make_rng stream
+
+    @pytest.mark.parametrize("seed", [5, (11, 1), (3, 2**33), (1, 2, 3, 4, 5)], ids=repr)
+    def test_simulate_reads_the_stream_of_the_seed_itself(self, seed):
+        got = simulate(WHITE, SimulationConfig(N=9, B=4, seed=seed))
+        np.testing.assert_array_equal(got, complex_standard_normal(make_rng(seed), 9))
+
+    @pytest.mark.parametrize("seed", [6, (2**32 + 1, 7)], ids=repr)
+    def test_batch_rows_read_their_derived_streams(self, seed):
+        config = SimulationConfig(N=6, B=3, seed=seed)
+        count = CHUNK_ROWS + 3
+        batch = simulate_batch(WHITE, config, count)
+        gains = simulate_max_gains([WHITE, WHITE], config, count)
+        # both sides of a _DRAW_ROWS boundary and of a CHUNK_ROWS boundary
+        for row in (0, _DRAW_ROWS - 1, _DRAW_ROWS, CHUNK_ROWS - 1, CHUNK_ROWS, count - 1):
+            normals = complex_standard_normal(make_rng(derive(seed, row)), config.N)
+            np.testing.assert_array_equal(batch[row], normals)
+            np.testing.assert_array_equal(gains[:, row], max_gain(normals[None, :])[0])
 
 
 class TestSimulateBatch:

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from faschan import generator
+from faschan import generator, selection_gain
 from faschan.arfit import ArpModel, check_stability, fit_clarke_model
 from faschan.correlation import ClarkeModel, build_covariance, eigen_spectrum, sample_exact
 from faschan.errors import UnstableModelError
@@ -13,7 +13,7 @@ from faschan.rng import complex_standard_normal, make_rng
 from faschan.selection_gain import empirical_cdf_max_gain, smc_cdf, systematic_resample
 from faschan.stats import isotonic_non_decreasing, max_gain
 
-from conftest import burned_in_factor_loop, burned_in_oracle, make_consistent_model
+from conftest import burned_in_factor_loop, burned_in_oracle, evaluate_threshold_shift, make_consistent_model
 
 
 class TestEmpiricalCdf:
@@ -259,6 +259,51 @@ class TestBurnedInLaw:
         assert not np.array_equal(
             burned_in_states(factor, 50, seed=3), burned_in_states(factor, 50, seed=4)
         )
+
+
+class TestRingBuffer:
+    # the ring-buffered evaluator against the per-port shift it replaced:
+    # same raw estimate and extinction step, bit for bit
+
+    @staticmethod
+    def compare(model, N, t, J, monkeypatch, seed=(73, 1)):
+        factor = burned_in_factor(model, 5 * N)
+        resamples = []
+        resample = selection_gain.systematic_resample
+        monkeypatch.setattr(
+            selection_gain, "systematic_resample", lambda w, s: resamples.append(s) or resample(w, s)
+        )
+        got = selection_gain._evaluate_threshold(model, N, t, J, 0.5, seed, factor)
+        monkeypatch.setattr(selection_gain, "systematic_resample", resample)
+        assert got == evaluate_threshold_shift(model, N, t, J, 0.5, seed, factor)
+        return got, len(resamples)
+
+    @pytest.mark.parametrize("p", [1, 3, 12])
+    def test_first_ports_around_p(self, p, monkeypatch):
+        # N < p, N = p and N = p + 1; p = 12 exceeds the ring's spare columns
+        model = make_consistent_model(p, seed=(72, p), max_mod=0.8)
+        for N in (max(p - 1, 1), p, p + 1):
+            self.compare(model, N, 1.5, 200, monkeypatch)
+
+    @pytest.mark.parametrize("p", [1, 3, 12])
+    def test_many_wraps_with_resampling(self, p, monkeypatch):
+        model = make_consistent_model(p, seed=(72, p), max_mod=0.8)
+        N = p + 7 * selection_gain._RING_SPARE + 3
+        (value, extinct), resamples = self.compare(model, N, 1.5, 200, monkeypatch)
+        assert extinct == -1 and value > 0.0
+        assert resamples >= 3
+
+    def test_production_fit(self, monkeypatch):
+        model = fit_clarke_model(ClarkeModel(W=5.0, N=200), 37)
+        (value, extinct), resamples = self.compare(model, 200, 3.0, 2000, monkeypatch)
+        assert extinct == -1 and 0.0 < value < 1.0 and resamples > 0
+
+    def test_extinct_swarm(self, small_model, monkeypatch):
+        # eight particles die out after several wraps; threshold 0 kills them at port 1
+        (value, extinct), _ = self.compare(small_model, 80, 0.5, 8, monkeypatch)
+        assert value == 0.0 and extinct > small_model.p + 2 * selection_gain._RING_SPARE
+        (value, extinct), _ = self.compare(small_model, 80, 0.0, 200, monkeypatch)
+        assert (value, extinct) == (0.0, 1)
 
 
 class TestSurvivalUpdate:
