@@ -6,7 +6,9 @@ forward pass plus backward smoothing on the AR(p) companion state space
 (linear in the port count), in square-root form from the model's own
 stationary factor, so it keeps its accuracy on near-unit-circle fits.  For a
 fitted model both produce identical conditional means and variances, which
-is the central cross-check of this module.  Also here: the posterior-error
+is the central cross-check of this module.  The smoother returns its means,
+O(N p^3 + N p^2 T) for T value rows, and computes its variances, another
+O(N p^3), on their first read.  Also here: the posterior-error
 NMSE, the eigenvalue-tail lower bound on how many observations a target
 error requires, and the port selection strategies whose gap geometry
 drives interpolation quality.
@@ -19,7 +21,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 from scipy.linalg import lapack, toeplitz
@@ -57,8 +60,8 @@ class ObservationSet:
             raise ValueError(f"values must be 1-D or (T, M), got shape {val.shape}")
         if val.shape[-1] != idx.size:
             raise ValueError(f"{idx.size} indices but {val.shape[-1]} values per row")
-        if not self.noise_var >= 0:
-            raise ValueError(f"noise_var must be >= 0, got {self.noise_var}")
+        if not (math.isfinite(self.noise_var) and self.noise_var >= 0):
+            raise ValueError(f"noise_var must be finite and >= 0, got {self.noise_var}")
         idx.setflags(write=False)
         val.setflags(write=False)
         object.__setattr__(self, "indices", idx)
@@ -75,12 +78,30 @@ class ReconstructionResult:
 
     ``means`` is (N,) for one value vector and (T, N) for a stack of T;
     ``variances`` (N,) and the NMSE depend only on the observed ports.
+    ``posterior`` is the pair (variances, nmse_unobserved), or a function
+    that computes it: the smoother defers its backward factor pass that way.
+    The first read of ``variances`` or ``nmse_unobserved`` runs the function
+    once and keeps its pair, releasing whatever the function held.
     """
 
     means: np.ndarray
-    variances: np.ndarray
-    nmse_unobserved: float
+    posterior: "tuple[np.ndarray, float] | Callable[[], tuple[np.ndarray, float]]" = field(repr=False)
     method_tag: str
+
+    @property
+    def variances(self) -> np.ndarray:
+        return self._posterior()[0]
+
+    @property
+    def nmse_unobserved(self) -> float:
+        return self._posterior()[1]
+
+    def _posterior(self) -> "tuple[np.ndarray, float]":
+        posterior = self.posterior
+        if callable(posterior):
+            posterior = posterior()
+            object.__setattr__(self, "posterior", posterior)
+        return posterior
 
 
 def _effective_noise_var(noise_var: float, r0: float) -> float:
@@ -141,8 +162,7 @@ def dense_mmse(cov: ToeplitzCovariance, obs: ObservationSet) -> ReconstructionRe
         nmse = float(np.sum(variances[unobserved]) / np.sum(np.diag(sigma).real[unobserved]))
     return ReconstructionResult(
         means=means[0] if obs.values.ndim == 1 else means,
-        variances=variances,
-        nmse_unobserved=nmse,
+        posterior=(variances, nmse),
         method_tag="oracle",
     )
 
@@ -168,21 +188,24 @@ def kalman_smooth(model: ArpModel, obs: ObservationSet, N: int) -> Reconstructio
     companion matrix A, and every variance is |S[0, 0]|^2 >= 0:
 
     - predict: QR of [[S A^H, S], [sigma_eps e_1^T, 0]], whose left block is
-      the predicted factor S-; the smoother gain is G^H = (S-)^-1 Q_1^H [S; 0]
-      from the right block.
+      the predicted factor S-; from the right block, the smoother gain is
+      G^H = (S-)^-1 Q_1^H [S; 0] and row p is the 1 x p factor z of the
+      conditional covariance z^H z = cov(x_{k-1} | x_k, ports up to k - 1).
     - update: the QR of [[sigma_v, 0], [S e_1, S]] is one rotation, as
       S e_1 = s_00 e_1: with v = sigma_v^2 + |s_00|^2 the gain is
       s_00 conj(S[0]) / v and row 0 of S scales by sigma_v / sqrt(v).
-    - smooth: QR of [S_f (I - A^H G^H); sigma_eps G^H[0]; S_s G^H], the RTS
-      covariance in Joseph form from this port's filtered factor S_f and the
-      next port's smoothed factor S_s.
+    - smooth: the RTS mean m_s = m_f + G (m_s' - A m_f), and the R of the
+      QR of [z; S_s G^H] for the covariance z^H z + G S_s^H S_s G^H, from
+      the next port's smoothed factor S_s.
 
     A zero noise variance is floored at NOISE_FLOOR_FACTOR times the prior
     variance.  The factors depend only on the observed ports, so a (T, M)
     stack of values shares one factor pass, and the means run through
     ``_rowwise``, each row rounding as a single call does; ``means`` has the
-    shape of ``obs.values`` with the last axis N.  Costs O(N p^3) per
-    observation pattern plus O(N p^2 T) for the means.
+    shape of ``obs.values`` with the last axis N.  The means cost
+    O(N p^3 + N p^2 T) at call time.  The backward factor pass, O(N p^3),
+    runs on the first read of ``variances`` or ``nmse_unobserved``; until
+    then the result holds the gains and rows z, 16 (p^2 + p) bytes per port.
     """
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
@@ -197,16 +220,15 @@ def kalman_smooth(model: ArpModel, obs: ObservationSet, N: int) -> Reconstructio
     t = rows.shape[0]
     y = dict(zip(obs.indices.tolist(), rows.T))
     upper = np.triu(np.ones((p, p), dtype=bool))
-    eye = np.eye(p)
     conj_alpha_col = np.conj(alpha)[:, None]
 
     def advance(m):  # A m for each row m of a (T, p) stack
         return np.concatenate((_rowwise(alpha[None], m), m[:, :-1]), axis=1)
 
     means_f = np.empty((N, t, p), dtype=np.complex128)
-    factors_f = np.empty((N, p, p), dtype=np.complex128)
-    # gains_h[k - 1] is G^H from port k - 1 to port k
+    # gains_h[k - 1] is G^H from port k - 1 to port k, conds[k - 1] its row z
     gains_h = np.zeros((N, p, p), dtype=np.complex128)
+    conds = np.zeros((N, p), dtype=np.complex128)
     predict = np.empty((p + 1, 2 * p), dtype=np.complex128, order="F")
     mean = np.zeros((t, p), dtype=np.complex128)
     for k in range(1, N + 1):
@@ -221,49 +243,45 @@ def kalman_smooth(model: ArpModel, obs: ObservationSet, N: int) -> Reconstructio
             gains_h[k - 1], info = lapack.ztrtrs(r[:p, :p], r[:p, p:])
             if info != 0:
                 raise NumericalError(f"predicted factor is singular at port {k}")
+            conds[k - 1] = r[p, p:]
             s = r[:p, :p] * upper
         if k in y:
             innovation_var = sv2 + abs(s[0, 0]) ** 2
             mean = mean + s[0, 0] * np.conj(s[0]) / innovation_var * (y[k] - mean[:, 0])[:, None]
             s[0] *= math.sqrt(sv2 / innovation_var)
         means_f[k - 1] = mean
-        factors_f[k - 1] = s
-    finite = np.isfinite(factors_f).all(axis=(1, 2)) & np.isfinite(gains_h).all(axis=(1, 2))
+    finite = np.isfinite(gains_h).all(axis=(1, 2)) & np.isfinite(conds).all(axis=1)
+    finite[-1] &= bool(np.isfinite(s).all())
     if not finite.all():
         raise NumericalError(f"filter factor became non-finite at port {int(np.argmin(finite)) + 1}")
 
     means_out = np.empty((t, N), dtype=np.complex128)
-    vars_out = np.empty(N)
     mean_s = means_f[N - 1]
     means_out[:, N - 1] = mean_s[:, 0]
-    vars_out[N - 1] = abs(s[0, 0]) ** 2
-    smooth = np.empty((2 * p + 1, p), dtype=np.complex128, order="F")
-    joseph = np.empty((p, p), dtype=np.complex128)
     for k in range(N - 1, 0, -1):
-        mean_f, gain_h = means_f[k - 1], gains_h[k]
-        mean_s = mean_f + _rowwise(gain_h.conj().T, mean_s - advance(mean_f))
-        # I - A^H G^H: row i of A^H G^H is conj(alpha_i) G^H[0] + G^H[i + 1]
-        np.multiply(conj_alpha_col, gain_h[0], out=joseph)
-        np.subtract(eye, joseph, out=joseph)
-        joseph[:-1] -= gain_h[1:]
-        np.matmul(factors_f[k - 1], joseph, out=smooth[:p])
-        smooth[p] = sigma_eps * gain_h[0]
-        np.matmul(s, gain_h, out=smooth[p + 1 :])
-        s = lapack.zgeqrf(smooth, overwrite_a=1)[0][:p] * upper
-        if not np.all(np.isfinite(s)):
-            raise NumericalError(f"smoother factor became non-finite at port {k}")
+        mean_f = means_f[k - 1]
+        mean_s = mean_f + _rowwise(gains_h[k].conj().T, mean_s - advance(mean_f))
         means_out[:, k - 1] = mean_s[:, 0]
-        vars_out[k - 1] = abs(s[0, 0]) ** 2
 
-    unobserved = np.setdiff1d(np.arange(1, N + 1), obs.indices)
-    if unobserved.size == 0:
-        nmse = 0.0
-    else:
-        nmse = float(np.sum(vars_out[unobserved - 1]) / (r0 * unobserved.size))
+    def posterior(s=s):
+        vars_out = np.empty(N)
+        vars_out[N - 1] = abs(s[0, 0]) ** 2
+        smooth = np.empty((p + 1, p), dtype=np.complex128, order="F")
+        for k in range(N - 1, 0, -1):
+            smooth[0] = conds[k]
+            np.matmul(s, gains_h[k], out=smooth[1:])
+            s = lapack.zgeqrf(smooth, overwrite_a=1)[0][:p] * upper
+            if not np.all(np.isfinite(s)):
+                raise NumericalError(f"smoother factor became non-finite at port {k}")
+            vars_out[k - 1] = abs(s[0, 0]) ** 2
+        unobserved = np.setdiff1d(np.arange(1, N + 1), obs.indices)
+        if unobserved.size == 0:
+            return vars_out, 0.0
+        return vars_out, float(np.sum(vars_out[unobserved - 1]) / (r0 * unobserved.size))
+
     return ReconstructionResult(
         means=means_out[0] if obs.values.ndim == 1 else means_out,
-        variances=vars_out,
-        nmse_unobserved=nmse,
+        posterior=posterior,
         method_tag="kalman",
     )
 

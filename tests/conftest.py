@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -163,3 +165,79 @@ def evaluate_threshold_shift(model: ArpModel, N: int, t: float, J: int, ess_rati
         if not survive(np.abs(fresh) ** 2 <= t, k):
             return 0.0, k
     return float(np.exp(log_survival)), -1
+
+
+def kalman_smooth_joseph(model: ArpModel, obs, N: int):
+    """``interpolation.kalman_smooth`` with the Joseph-form backward pass, run eagerly.
+
+    The reference for the smoother's means and variances: the same forward
+    square-root filter, keeping every filtered factor S_f, and a backward
+    step that takes the R of the QR of [S_f (I - A^H G^H); sigma_eps G^H[0];
+    S_s G^H].  Returns ``(means, variances, nmse_unobserved)``.
+    """
+    from scipy.linalg import lapack
+
+    from faschan.interpolation import _effective_noise_var, _rowwise
+
+    p, alpha = model.p, model.alpha
+    sigma_eps = math.sqrt(model.sigma_eps2)
+    s = np.array(model.stationary_factor)
+    r0 = float(abs(s[0, 0]) ** 2)
+    sv2 = _effective_noise_var(obs.noise_var, r0)
+    rows = obs.values.reshape(-1, obs.M)
+    t = rows.shape[0]
+    y = dict(zip(obs.indices.tolist(), rows.T))
+    upper = np.triu(np.ones((p, p), dtype=bool))
+    eye = np.eye(p)
+    conj_alpha_col = np.conj(alpha)[:, None]
+
+    def advance(m):
+        return np.concatenate((_rowwise(alpha[None], m), m[:, :-1]), axis=1)
+
+    means_f = np.empty((N, t, p), dtype=np.complex128)
+    factors_f = np.empty((N, p, p), dtype=np.complex128)
+    gains_h = np.zeros((N, p, p), dtype=np.complex128)
+    predict = np.empty((p + 1, 2 * p), dtype=np.complex128, order="F")
+    mean = np.zeros((t, p), dtype=np.complex128)
+    for k in range(1, N + 1):
+        if k > 1:
+            mean = advance(mean)
+            np.matmul(s, conj_alpha_col, out=predict[:p, :1])
+            predict[:p, 1:p] = s[:, :-1]
+            predict[:p, p:] = s
+            predict[p] = 0.0
+            predict[p, 0] = sigma_eps
+            r = lapack.zgeqrf(predict, overwrite_a=1)[0]
+            gains_h[k - 1], info = lapack.ztrtrs(r[:p, :p], r[:p, p:])
+            assert info == 0
+            s = r[:p, :p] * upper
+        if k in y:
+            innovation_var = sv2 + abs(s[0, 0]) ** 2
+            mean = mean + s[0, 0] * np.conj(s[0]) / innovation_var * (y[k] - mean[:, 0])[:, None]
+            s[0] *= math.sqrt(sv2 / innovation_var)
+        means_f[k - 1] = mean
+        factors_f[k - 1] = s
+
+    means_out = np.empty((t, N), dtype=np.complex128)
+    vars_out = np.empty(N)
+    mean_s = means_f[N - 1]
+    means_out[:, N - 1] = mean_s[:, 0]
+    vars_out[N - 1] = abs(s[0, 0]) ** 2
+    smooth = np.empty((2 * p + 1, p), dtype=np.complex128, order="F")
+    joseph = np.empty((p, p), dtype=np.complex128)
+    for k in range(N - 1, 0, -1):
+        mean_f, gain_h = means_f[k - 1], gains_h[k]
+        mean_s = mean_f + _rowwise(gain_h.conj().T, mean_s - advance(mean_f))
+        np.multiply(conj_alpha_col, gain_h[0], out=joseph)
+        np.subtract(eye, joseph, out=joseph)
+        joseph[:-1] -= gain_h[1:]
+        np.matmul(factors_f[k - 1], joseph, out=smooth[:p])
+        smooth[p] = sigma_eps * gain_h[0]
+        np.matmul(s, gain_h, out=smooth[p + 1 :])
+        s = lapack.zgeqrf(smooth, overwrite_a=1)[0][:p] * upper
+        means_out[:, k - 1] = mean_s[:, 0]
+        vars_out[k - 1] = abs(s[0, 0]) ** 2
+
+    unobserved = np.setdiff1d(np.arange(1, N + 1), obs.indices)
+    nmse = 0.0 if unobserved.size == 0 else float(np.sum(vars_out[unobserved - 1]) / (r0 * unobserved.size))
+    return (means_out[0] if obs.values.ndim == 1 else means_out), vars_out, nmse

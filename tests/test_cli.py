@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -201,6 +202,22 @@ class TestInterpolate:
         )
         assert code == 2
         assert "M" in json.loads(err)["error"]
+
+    @pytest.mark.parametrize("sigma_v2", ["inf", "nan"])
+    def test_non_finite_noise_usage_error(self, sigma_v2, capsys):
+        with warnings.catch_warnings():
+            # refused at validation, before any arithmetic could warn
+            warnings.simplefilter("error", RuntimeWarning)
+            code, _, err = run_cli(
+                [
+                    "interpolate", "--W", "2", "--N", "30", "--M", "6", "--strategy", "random",
+                    "--p", "4", "--sigma-v2", sigma_v2, "--no-meta",
+                ],
+                capsys,
+            )
+        assert code == 2
+        assert json.loads(err)["type"] == "ValueError"
+        assert "noise_var" in json.loads(err)["error"]
 
 
 class TestBench:

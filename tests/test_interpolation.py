@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ from faschan.correlation import (
     eigen_spectrum,
     sample_exact,
 )
-from faschan.errors import UnstableModelError
+from faschan import interpolation
+from faschan.errors import NumericalError, UnstableModelError
 from faschan.interpolation import (
     NOISE_FLOOR_FACTOR,
     ObservationSet,
@@ -27,7 +29,7 @@ from faschan.interpolation import (
 )
 from faschan.rng import complex_standard_normal, make_rng
 
-from conftest import burned_in_oracle, companion, make_consistent_model
+from conftest import burned_in_oracle, companion, kalman_smooth_joseph, make_consistent_model
 
 
 class TestObservationSet:
@@ -42,6 +44,11 @@ class TestObservationSet:
             ObservationSet(indices=[1, 2], values=[1.0])
         with pytest.raises(ValueError):
             ObservationSet(indices=[1], values=[1.0], noise_var=-1.0)
+
+    @pytest.mark.parametrize("noise_var", [math.inf, -math.inf, math.nan])
+    def test_non_finite_noise_rejected(self, noise_var):
+        with pytest.raises(ValueError, match="noise_var"):
+            ObservationSet(indices=[1], values=[1.0], noise_var=noise_var)
 
     def test_stacked_values(self):
         obs = ObservationSet(indices=[2, 5], values=np.ones((3, 2)))
@@ -284,6 +291,111 @@ class TestKalmanSmooth:
         obs = ObservationSet(indices=[2], values=[1.0 + 0j])
         with pytest.raises(UnstableModelError):
             kalman_smooth(bad, obs, 10)
+
+
+class TestSmootherReference:
+    """The smoother against its Joseph-form reference (``kalman_smooth_joseph``).
+
+    The means run the same arithmetic, so no bit may move; the variances come
+    from another backward factorisation of the same covariance.
+    """
+
+    @staticmethod
+    def _check(model, obs, n):
+        means, variances, nmse_unobserved = kalman_smooth_joseph(model, obs, n)
+        result = kalman_smooth(model, obs, n)
+        np.testing.assert_array_equal(result.means, means)
+        assert np.abs(result.variances - variances).max() <= 1e-10 * model.r0
+        assert result.nmse_unobserved == pytest.approx(nmse_unobserved, rel=0, abs=1e-10)
+
+    def test_c4_toy_draws(self):
+        # the draws of test_acceptance.test_c4_kalman_dense_equivalence
+        rng = make_rng((1, 504))
+        for trial in range(200):
+            p = int(rng.integers(1, 41))
+            n = int(rng.integers(max(10, p + 1), 201))
+            m = int(rng.integers(1, n + 1))
+            noise = 0.0 if trial % 2 == 0 else 1e-2
+            model = make_consistent_model(p, seed=(1, 505, trial))
+            truth = sample_exact(eigen_spectrum(arp_induced_covariance(model, n)), (1, 506, trial), 1)[0]
+            idx = np.sort(make_rng((1, 507, trial)).choice(n, size=m, replace=False) + 1)
+            values = truth[idx - 1]
+            if noise > 0:
+                values = values + np.sqrt(noise) * complex_standard_normal(make_rng((1, 508, trial)), m)
+            self._check(model, ObservationSet(indices=idx, values=values, noise_var=noise), n)
+
+    @pytest.mark.parametrize("w, n, p", [(2.0, 100, 10), (2.0, 100, 20), (5.0, 200, 20), (5.0, 200, 37)])
+    def test_production_fits(self, w, n, p):
+        model = fit_clarke_model(ClarkeModel(W=w, N=n), p)
+        truth = sample_exact(eigen_spectrum(arp_induced_covariance(model, n)), (90, n, p), 1)[0]
+        for s_idx, strategy in enumerate(("random", "uniform_endpoints", "uniform_interior")):
+            idx = port_select(strategy, n, n // 5, (91, n, p, s_idx))
+            for noise in (0.0, 1e-2):
+                values = truth[idx - 1]
+                if noise > 0:
+                    values = values + np.sqrt(noise) * complex_standard_normal(make_rng((92, n, p)), idx.size)
+                self._check(model, ObservationSet(indices=idx, values=values, noise_var=noise), n)
+
+
+class TestDeferredPosterior:
+    """The smoother's variances and NMSE are computed on first read and kept."""
+
+    @staticmethod
+    def _case():
+        model = make_consistent_model(5, seed=(93, 0))
+        idx = port_select("random", 60, 12, (93, 1))
+        values = complex_standard_normal(make_rng((93, 2)), (3, idx.size))
+        return model, ObservationSet(indices=idx, values=values, noise_var=1e-2), 60
+
+    def test_read_order_does_not_matter(self):
+        model, obs, n = self._case()
+        variances_first = kalman_smooth(model, obs, n)
+        variances = variances_first.variances
+        nmse_first = kalman_smooth(model, obs, n)
+        nmse_unobserved = nmse_first.nmse_unobserved
+        # other use in between: the means, and another smoother call
+        nmse_first.means.sum()
+        kalman_smooth(model, obs, n).variances
+        np.testing.assert_array_equal(nmse_first.variances, variances)
+        assert variances_first.nmse_unobserved == nmse_unobserved
+
+    def test_second_read_returns_the_same_array(self):
+        model, obs, n = self._case()
+        result = kalman_smooth(model, obs, n)
+        assert result.variances is result.variances
+        assert result.nmse_unobserved == result.nmse_unobserved
+
+    def test_non_finite_deferred_factor_raises(self, monkeypatch):
+        model, obs, n = self._case()
+        result = kalman_smooth(model, obs, n)
+
+        class PoisonedLapack:
+            @staticmethod
+            def zgeqrf(a, overwrite_a=0):
+                return (np.full_like(a, np.nan),)
+
+        monkeypatch.setattr(interpolation, "lapack", PoisonedLapack)
+        for read in ("variances", "nmse_unobserved"):
+            with pytest.raises(NumericalError, match=f"at port {n - 1}$"):
+                getattr(result, read)
+        monkeypatch.undo()
+        # a failed read caches nothing
+        assert np.all(np.isfinite(result.variances))
+
+    def test_memory_is_the_gains(self):
+        # the gains G^H, (N, p, p) complex, are the one array that grows as p^2 N
+        n, p = 4000, 20
+        model = fit_clarke_model(ClarkeModel(W=2.0, N=100), p)
+        model.stationary_factor  # cached on the model, outside the traced region
+        idx = port_select("uniform_endpoints", n, n // 5)
+        obs = ObservationSet(indices=idx, values=complex_standard_normal(make_rng(94), idx.size), noise_var=1e-2)
+        tracemalloc.start()
+        try:
+            kalman_smooth(model, obs, n).variances
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * 16 * p * p * n
 
 
 class TestStackedReconstruction:
