@@ -25,12 +25,12 @@ from faschan import (
 model = ClarkeModel(W=1.0, N=40)
 fitted = fit_clarke_model(model, 6)
 
-exact_samples = sample_exact(eigen_spectrum(build_covariance(model)), seed=3, count=8000)
-direct = simulate_batch(fitted, SimulationConfig(N=40, B=200, seed=4), 8000)
-grid = np.quantile(max_gain(exact_samples), [0.01, 0.05, 0.2, 0.5, 0.8, 0.95])
+exact_gains = max_gain(sample_exact(eigen_spectrum(build_covariance(model)), seed=3, count=8000))
+direct_gains = max_gain(simulate_batch(fitted, SimulationConfig(N=40, B=200, seed=4), 8000))
+grid = np.quantile(exact_gains, [0.01, 0.05, 0.2, 0.5, 0.8, 0.95])
 
-exact_curve = empirical_cdf_max_gain(exact_samples, grid)
-direct_curve = empirical_cdf_max_gain(direct, grid)
+exact_curve = empirical_cdf_max_gain(exact_gains, grid)
+direct_curve = empirical_cdf_max_gain(direct_gains, grid)
 particle = smc_cdf(fitted, N=40, thresholds=grid, J=4000, seed=5)
 
 print("threshold   exact MC   direct AR   particle")

@@ -14,8 +14,10 @@ sample of the selection gain, one simulated sample per stable candidate
 order, and the two-sample KS distance between them decides the order.  The
 candidates' samples share their rows: each row's normals are drawn once and
 drive every candidate (common random numbers), so candidates differ by
-model rather than by stream noise.  Every sample is reduced to max gains a
-chunk of rows at a time, so memory does not grow with the sample size.
+model rather than by stream noise.  Both samples are drawn only in their
+max-gain forms, ``correlation.sample_exact_max_gains`` and
+``generator.simulate_max_gains``, which reduce a chunk of rows at a time, so
+memory does not grow with the sample size.
 """
 
 from __future__ import annotations
@@ -28,15 +30,15 @@ from scipy.linalg import toeplitz
 
 from .correlation import (
     ClarkeModel,
-    EigenSpectrum,
     ToeplitzCovariance,
     build_covariance,
     clarke_autocorrelation,
     eigen_spectrum,
+    sample_exact_max_gains,
 )
 from .errors import FitError, UnstableModelError
-from .rng import complex_standard_normal, derive, make_rng
-from .stats import ks_distance, max_gain
+from .rng import derive
+from .stats import ks_distance
 
 # roots with modulus >= 1 - DELTA_STAB count as unstable
 DELTA_STAB = 1e-6
@@ -250,35 +252,6 @@ def arp_induced_covariance(model: ArpModel, N: int) -> ToeplitzCovariance:
     return ToeplitzCovariance(first_row=lags, N=N)
 
 
-def _reference_gains(spectrum: EigenSpectrum, seed, count: int, chunk_rows: int) -> np.ndarray:
-    """``max_gain(sample_exact(spectrum, seed, count))``, chunk_rows rows at a time.
-
-    ``sample_exact`` draws one (count, N) block of real parts and then one of
-    imaginary parts from a single stream.  Two copies of that stream give the
-    same normals chunk by chunk: one reads the real parts in order, the other
-    first skips the count * N real parts, a chunk at a time, then reads the
-    imaginary parts.  Each chunk's rows are sampled and reduced as in the
-    whole block, and a power-of-two chunk_rows starts every chunk where one
-    of the whole block's BLAS row groups starts, so each row's product
-    rounds alike: the gains are bit-identical, and memory does not grow with
-    count.
-    """
-    n = spectrum.eigenvalues.size
-    factor = spectrum.eigenvectors * np.sqrt(spectrum.eigenvalues)[None, :]
-    real, imag = make_rng(seed), make_rng(seed)
-    for start in range(0, count, chunk_rows):
-        imag.standard_normal((min(chunk_rows, count - start), n))
-    gains = np.empty(count)
-    for start in range(0, count, chunk_rows):
-        rows = min(chunk_rows, count - start)
-        # freed once multiplied, as sample_exact frees them
-        g0 = complex_standard_normal(real, (rows, n), imag=imag)
-        samples = g0 @ factor.T
-        del g0
-        gains[start : start + rows] = max_gain(samples)
-    return gains
-
-
 def select_order(
     model: ClarkeModel,
     p_max: int,
@@ -289,9 +262,10 @@ def select_order(
 ) -> OrderSelectionResult:
     """Pick the AR order whose simulated selection-gain CDF is KS-closest to exact.
 
-    One exact-model reference sample, and one simulated sample per stable
-    candidate order, all of size ``mc_samples`` and all kept only as max
-    gains, chunk by chunk, so memory does not grow with ``mc_samples``.
+    One exact-model reference sample (``sample_exact_max_gains``), and one
+    simulated sample per stable candidate order (``simulate_max_gains``),
+    all of size ``mc_samples`` and all kept only as max gains, chunk by
+    chunk, so memory does not grow with ``mc_samples``.
     The candidates share their rows (common random numbers): row i's
     normals come from the derived seed (seed, 1, i) and drive every
     candidate, each from its own burned-in start, so candidates differ by
@@ -299,7 +273,7 @@ def select_order(
     candidates.  Unstable orders are excluded.  Ties within TIE_TOL of the
     best distance go to the smallest order.
     """
-    from .generator import CHUNK_ROWS, SimulationConfig, simulate_max_gains
+    from .generator import SimulationConfig, simulate_max_gains
 
     if not 1 <= p_max <= model.N - 1:
         raise ValueError(f"p_max must be in [1, N-1], got {p_max}")
@@ -307,7 +281,7 @@ def select_order(
         raise ValueError(f"mc_samples must be >= 1000, got {mc_samples}")
 
     spectrum = eigen_spectrum(build_covariance(model))
-    reference = _reference_gains(spectrum, derive(seed, _REF_BRANCH), mc_samples, CHUNK_ROWS)
+    reference = sample_exact_max_gains(spectrum, derive(seed, _REF_BRANCH), mc_samples)
     fits = [fit_clarke_model(model, p) for p in range(1, p_max + 1)]
     stable = [fitted for fitted in fits if check_stability(fitted).stable]
     if not stable:

@@ -348,14 +348,14 @@ def cmd_cdf(args) -> int:
     spectrum = correlation.eigen_spectrum(correlation.build_covariance(model))
     grid = _threshold_grid(args, spectrum)
     exact = selection_gain.empirical_cdf_max_gain(
-        correlation.sample_exact(spectrum, derive(seed, 0), args.mc), grid
+        correlation.sample_exact_max_gains(spectrum, derive(seed, 0), args.mc), grid
     )
     rows = []
     for p in orders:
         fitted = arfit.fit_clarke_model(model, p)
         config = generator.SimulationConfig(N=model.N, B=args.burn * model.N, seed=derive(seed, 1, p))
         direct = selection_gain.empirical_cdf_max_gain(
-            generator.simulate_batch(fitted, config, args.mc), grid
+            generator.simulate_max_gains([fitted], config, args.mc)[0], grid
         )
         smc = selection_gain.smc_cdf(
             fitted,

@@ -10,6 +10,12 @@ Conventions: sinc(x) = sin(x)/x with sinc(0) = 1 (the argument already
 carries the 2*pi factor), and the unit-variance white vector is colored as
 g = U Lambda^(1/2) g0, so the sample covariance reproduces the model
 covariance including its per-port variance.
+
+Selection-gain statistics need only each row's max gain max_k |g_k|^2:
+``sample_exact_max_gains`` reduces the rows ``sample_exact`` would draw a
+chunk of CHUNK_ROWS at a time, bit for bit, so its memory does not grow with
+the row count.  CHUNK_ROWS is defined here, in the lowest layer, and the
+generator's chunked simulation uses the same size.
 """
 
 from __future__ import annotations
@@ -23,9 +29,14 @@ from scipy.linalg import toeplitz
 
 from .errors import NumericalError
 from .rng import complex_standard_normal, make_rng
+from .stats import max_gain
 
 # round-off eigenvalues below -PSD_TOL * r(0) are reported, not silently clipped
 PSD_TOL = 1e-8
+# rows per sampling chunk, a power of two: enough that the per-chunk numpy
+# calls amortise, few enough that the generator's recursion buffer stays
+# near 27 MB at N = 200
+CHUNK_ROWS = 8192
 
 
 @dataclass(frozen=True)
@@ -165,3 +176,34 @@ def sample_exact(spec: EigenSpectrum, seed, count: int) -> np.ndarray:
     factor = spec.eigenvectors * np.sqrt(spec.eigenvalues)[None, :]
     g0 = complex_standard_normal(rng, (count, n))
     return g0 @ factor.T
+
+
+def sample_exact_max_gains(spec: EigenSpectrum, seed, count: int) -> np.ndarray:
+    """``max_gain(sample_exact(spec, seed, count))``, CHUNK_ROWS rows at a time.
+
+    ``sample_exact`` draws one (count, N) block of real parts and then one of
+    imaginary parts from a single stream.  Two copies of that stream give the
+    same normals chunk by chunk: one reads the real parts in order, the other
+    first skips the count * N real parts, a chunk at a time, then reads the
+    imaginary parts.  Each chunk's rows are sampled and reduced as in the
+    whole block, and the power-of-two CHUNK_ROWS starts every chunk where one
+    of the whole block's BLAS row groups starts, so each row's product
+    rounds alike: the gains are bit-identical, and memory does not grow with
+    count.
+    """
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
+    n = spec.eigenvalues.size
+    factor = spec.eigenvectors * np.sqrt(spec.eigenvalues)[None, :]
+    real, imag = make_rng(seed), make_rng(seed)
+    for start in range(0, count, CHUNK_ROWS):
+        imag.standard_normal((min(CHUNK_ROWS, count - start), n))
+    gains = np.empty(count)
+    for start in range(0, count, CHUNK_ROWS):
+        rows = min(CHUNK_ROWS, count - start)
+        # freed once multiplied, as sample_exact frees them
+        g0 = complex_standard_normal(real, (rows, n), imag=imag)
+        samples = g0 @ factor.T
+        del g0
+        gains[start : start + rows] = max_gain(samples)
+    return gains

@@ -16,8 +16,9 @@ impulse response a block at a time from a compiled banded solve and folds
 each block in by QR at fixed block boundaries, which fix the signs of its
 rows and hence every realization's bits.
 
-Rows are simulated CHUNK_ROWS at a time in two stages: the row normals are
-drawn, then each model drives its recursion with them (``_simulate``).
+Rows are simulated CHUNK_ROWS (``correlation``'s chunk size) at a time in
+two stages: the row normals are drawn, then each model drives its recursion
+with them (``_simulate``).
 The draw keys a block of row streams in one vectorised pass
 (``rng.philox_keys``) and re-keys one Philox per row, so row i reads the
 normals of ``make_rng(derive(seed, i))`` bit for bit without building a
@@ -25,7 +26,9 @@ SeedSequence and a Generator for every row.
 ``simulate_max_gains`` takes several models of one row length and drives
 them all with the same normals (common random numbers), drawing each row's
 normals once per call instead of once per model, and keeps only each
-model's max gains; ``workers`` threads share a chunk's models.
+model's max gains; ``workers`` threads share a chunk's models.  Order
+selection and the ``cdf`` command draw the surrogate's selection gains only
+through it.
 ``simulate_batch`` copies its one model's (rows, N) blocks into its
 (count, N) output.  Working memory beyond the output is one chunk's
 buffers, whatever the count.  Every row's arithmetic, the start product
@@ -46,14 +49,12 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import blas, lapack
 
 from .arfit import ArpModel, check_stability
+from .correlation import CHUNK_ROWS
 from .errors import UnstableModelError
 from .interpolation import _rowwise
 from .rng import SQRT_HALF, complex_standard_normal, make_rng, philox_keys
 from .stats import max_gain
 
-# rows per simulation chunk: enough that the per-step numpy calls amortise,
-# few enough that the recursion buffer stays near 27 MB at N = 200
-CHUNK_ROWS = 8192
 # rows whose normals are drawn and lifted row-major before each transpose
 _DRAW_ROWS = 256
 # impulse-response rows folded into the burn-in factor per QR update; fixed,

@@ -9,6 +9,11 @@ keeps the swarm effective when truncation kills most particles.  The swarm
 starts from the lifted state after the generator's burn-in, drawn from that
 state's exact law, so no warm-up path is simulated.
 
+The empirical curves take the per-realization selection gains, not the
+realizations: the samplers' max-gain forms (``sample_exact_max_gains``,
+``simulate_max_gains``) reduce their rows a chunk at a time, so a Monte
+Carlo CDF never holds a (count, N) block.
+
 The swarm's lifted states live in a newest-first ring of p + _RING_SPARE
 columns per particle: each port writes its fresh values one column to the
 left of the current window, and only when the window reaches the ring's
@@ -34,7 +39,7 @@ from .generator import burned_in_factor, burned_in_states
 # benchmarks/test_harness.py checks that the tracer wraps it here too
 from .generator import simulate_batch  # noqa: F401
 from .rng import complex_standard_normal, derive, make_rng
-from .stats import isotonic_non_decreasing, max_gain
+from .stats import isotonic_non_decreasing
 
 _WARMUP_BRANCH = 0
 _PROPAGATE_BRANCH = 1
@@ -90,13 +95,19 @@ def _validate_thresholds(thresholds) -> np.ndarray:
     return t
 
 
-def empirical_cdf_max_gain(samples, thresholds) -> CdfCurve:
-    """Fraction of realizations whose selection gain stays at or below each threshold."""
-    samples = np.asarray(samples)
-    if samples.ndim != 2 or samples.shape[0] < 1:
-        raise ValueError("samples must be a non-empty (count, N) matrix")
+def empirical_cdf_max_gain(gains, thresholds) -> CdfCurve:
+    """Fraction of realizations whose selection gain stays at or below each threshold.
+
+    ``gains`` holds one selection gain max_k |g_k|^2 per realization, as
+    ``sample_exact_max_gains``, ``simulate_max_gains`` or ``max_gain`` give
+    them; channel vectors, a (count, N) block or a complex row, are
+    rejected rather than reduced.
+    """
+    gains = np.asarray(gains)
+    if gains.ndim != 1 or gains.size < 1 or np.iscomplexobj(gains):
+        raise ValueError(f"gains must be a non-empty real 1-D vector, got {gains.dtype} {gains.shape}")
     t = _validate_thresholds(thresholds)
-    gains = np.sort(max_gain(samples))
+    gains = np.sort(gains)
     values = np.searchsorted(gains, t, side="right") / gains.size
     return CdfCurve(thresholds=t, values=values)
 

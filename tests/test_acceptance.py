@@ -99,7 +99,7 @@ def test_c3_particle_consistency(flagship, flagship_reference):
     fitted = fit_clarke_model(flagship, 37)
     grid = np.quantile(flagship_reference, (np.arange(40) + 0.5) / 40)
     config = SimulationConfig(N=flagship.N, B=5 * flagship.N, seed=derive(SEED, 502))
-    direct = empirical_cdf_max_gain(simulate_batch(fitted, config, MC_SAMPLES), grid)
+    direct = empirical_cdf_max_gain(max_gain(simulate_batch(fitted, config, MC_SAMPLES)), grid)
     gaps = {}
     for j in (1_000, 10_000):
         curve = smc_cdf(
@@ -287,13 +287,14 @@ def test_c7_gap_statistics_law():
     assert 0.6 <= ratio <= 1.5
 
 
-def _median_time(fn, repeats=3):
+def _min_time(fn, repeats=5):
+    # the minimum is the run least disturbed by other load on the machine
     times = []
     for _ in range(repeats):
         t0 = time.perf_counter()
         fn()
         times.append(time.perf_counter() - t0)
-    return float(np.median(times))
+    return min(times)
 
 
 def test_c8_complexity_scaling():
@@ -307,7 +308,7 @@ def test_c8_complexity_scaling():
         obs = ObservationSet(indices=idx, values=values, noise_var=1e-2)
         # reading the variances runs the deferred backward factor pass, so the
         # slope covers the whole posterior
-        kalman_times.append(_median_time(lambda: kalman_smooth(model, obs, int(n)).variances))
+        kalman_times.append(_min_time(lambda: kalman_smooth(model, obs, int(n)).variances))
     kalman_slope = float(np.polyfit(np.log(sizes), np.log(kalman_times), 1)[0])
 
     dense_sizes = np.array([200, 400, 800])
@@ -317,7 +318,7 @@ def test_c8_complexity_scaling():
         values = complex_standard_normal(make_rng((SEED, 514, int(m))), int(m))
         obs = ObservationSet(indices=np.arange(1, int(m) + 1), values=values, noise_var=1e-2)
         cov.matrix()  # materialize outside the timed region
-        dense_times.append(_median_time(lambda: dense_mmse(cov, obs)))
+        dense_times.append(_min_time(lambda: dense_mmse(cov, obs)))
     dense_slope = float(np.polyfit(np.log(dense_sizes), np.log(dense_times), 1)[0])
 
     ok = 0.8 <= kalman_slope <= 1.3 and dense_slope >= 2.0

@@ -10,7 +10,6 @@ from faschan.arfit import (
     _CANDIDATE_BRANCH,
     _REF_BRANCH,
     _gain_grid_size,
-    _reference_gains,
     arp_induced_covariance,
     check_stability,
     fit_clarke_model,
@@ -20,7 +19,8 @@ from faschan.arfit import (
 )
 from faschan.correlation import ClarkeModel, build_covariance, clarke_autocorrelation, eigen_spectrum, sample_exact
 from faschan.errors import FitError, UnstableModelError
-from faschan.generator import CHUNK_ROWS, SimulationConfig, simulate_max_gains
+from faschan.correlation import CHUNK_ROWS
+from faschan.generator import SimulationConfig, simulate_max_gains
 from faschan.rng import derive, make_rng
 from faschan.stats import ks_distance, max_gain
 
@@ -263,17 +263,6 @@ class TestSelectOrder:
         for p, distance in result.distances.items():
             gains = simulate_max_gains([fit_clarke_model(model, p)], config, mc)[0]
             assert distance == ks_distance(reference, gains)
-
-    def test_reference_gains_match_the_whole_block(self):
-        spectrum = eigen_spectrum(build_covariance(ClarkeModel(W=2.0, N=30)))
-        count = CHUNK_ROWS + 3
-        whole = max_gain(sample_exact(spectrum, (8, 0), count))
-        np.testing.assert_array_equal(_reference_gains(spectrum, (8, 0), count, CHUNK_ROWS), whole)
-        # many chunks, the last one short; chunks of a power-of-two size start
-        # where the whole block's BLAS row groups start, so rows round alike
-        np.testing.assert_array_equal(
-            _reference_gains(spectrum, (8, 0), 50, 16), max_gain(sample_exact(spectrum, (8, 0), 50))
-        )
 
     def test_peak_memory_independent_of_mc(self):
         # the reference and both candidates (one shared-row call) are reduced

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -10,7 +11,7 @@ import pytest
 
 from faschan.arfit import fit_clarke_model
 from faschan.cli import main
-from faschan.correlation import ClarkeModel, build_covariance, eigen_spectrum, sample_exact
+from faschan.correlation import CHUNK_ROWS, ClarkeModel, build_covariance, eigen_spectrum, sample_exact
 from faschan.generator import SimulationConfig, simulate_batch
 from faschan.interpolation import (
     ObservationSet,
@@ -20,6 +21,8 @@ from faschan.interpolation import (
     port_select,
 )
 from faschan.rng import complex_standard_normal, derive, make_rng
+from faschan.selection_gain import empirical_cdf_max_gain
+from faschan.stats import max_gain
 
 from test_acceptance import CLI_CONFIGS
 
@@ -143,6 +146,48 @@ class TestCdf:
         lines = out.read_text().strip().splitlines()
         assert lines[0].startswith("p,threshold")
         assert len(lines) == 1 + 2 * 4
+
+    def test_monte_carlo_columns_match_the_whole_blocks(self, capsys, tmp_path):
+        # both Monte Carlo columns are reduced a chunk at a time; across a
+        # chunk boundary they still equal the curves of the whole (mc, N)
+        # blocks drawn from the same seeds
+        model, seed, mc = ClarkeModel(W=1.0, N=12), 5, CHUNK_ROWS + 3
+        out = tmp_path / "cdf.csv"
+        code, _, _ = run_cli(
+            [
+                "cdf", "--W", "1", "--N", "12", "--p", "1,2", "--mc", str(mc), "--J", "100",
+                "--t-grid", "0.2:4:6", "--seed", str(seed), "--no-meta", "--out", str(out),
+            ],
+            capsys,
+        )
+        assert code == 0
+        rows = np.array([[float(v) for v in line.split(",")] for line in out.read_text().splitlines()[1:]])
+        grid = rows[:6, 1]
+        exact = empirical_cdf_max_gain(
+            max_gain(sample_exact(eigen_spectrum(build_covariance(model)), derive(seed, 0), mc)), grid
+        )
+        for p in (1, 2):
+            config = SimulationConfig(N=model.N, B=5 * model.N, seed=derive(seed, 1, p))
+            batch = simulate_batch(fit_clarke_model(model, p), config, mc)
+            direct = empirical_cdf_max_gain(max_gain(batch), grid)
+            block = rows[rows[:, 0] == p]
+            np.testing.assert_array_equal(block[:, 2], exact.values)
+            np.testing.assert_array_equal(block[:, 3], direct.values)
+
+    def test_peak_memory_independent_of_mc(self, capsys, tmp_path):
+        # only (mc,) gain vectors grow with mc: no (mc, N) block is built
+        argv = ["cdf", "--W", "1", "--N", "40", "--p", "1,2", "--J", "100", "--t-grid", "0.2:4:6",
+                "--seed", "3", "--no-meta", "--out", str(tmp_path / "cdf.csv")]
+        peaks = []
+        for mc in (2 * CHUNK_ROWS, 4 * CHUNK_ROWS):
+            tracemalloc.start()
+            try:
+                assert main([*argv, "--mc", str(mc)]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        capsys.readouterr()
+        assert peaks[1] == pytest.approx(peaks[0], rel=0.1)
 
     def test_empty_grid_rejected(self, capsys):
         code, _, err = run_cli(

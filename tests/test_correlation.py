@@ -3,13 +3,16 @@ import numpy as np
 import pytest
 import sympy
 
+from faschan import correlation
 from faschan.correlation import (
+    CHUNK_ROWS,
     ClarkeModel,
     ToeplitzCovariance,
     build_covariance,
     clarke_autocorrelation,
     eigen_spectrum,
     sample_exact,
+    sample_exact_max_gains,
 )
 from faschan.stats import max_gain
 
@@ -183,3 +186,23 @@ class TestSampleExact:
     def test_count_validated(self, spectrum_w2n100):
         with pytest.raises(ValueError):
             sample_exact(spectrum_w2n100, seed=0, count=0)
+
+
+class TestSampleExactMaxGains:
+    def test_reference_gains_match_the_whole_block(self, monkeypatch):
+        spectrum = eigen_spectrum(build_covariance(ClarkeModel(W=2.0, N=30)))
+        count = CHUNK_ROWS + 3
+        whole = max_gain(sample_exact(spectrum, (8, 0), count))
+        np.testing.assert_array_equal(sample_exact_max_gains(spectrum, (8, 0), count), whole)
+        # many chunks, the last one short; chunks of a power-of-two size start
+        # where the whole block's BLAS row groups start, so rows round alike
+        monkeypatch.setattr(correlation, "CHUNK_ROWS", 16)
+        np.testing.assert_array_equal(
+            sample_exact_max_gains(spectrum, (8, 0), 50), max_gain(sample_exact(spectrum, (8, 0), 50))
+        )
+
+    def test_count_validated(self, spectrum_w2n100):
+        # as sample_exact: an empty sample has no CDF, a negative one no shape
+        for count in (0, -3):
+            with pytest.raises(ValueError, match="count must be >= 1"):
+                sample_exact_max_gains(spectrum_w2n100, seed=0, count=count)

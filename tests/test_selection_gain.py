@@ -18,30 +18,39 @@ from conftest import burned_in_factor_loop, burned_in_oracle, evaluate_threshold
 
 class TestEmpiricalCdf:
     def test_single_zero_sample(self):
-        curve = empirical_cdf_max_gain(np.zeros((1, 5), dtype=complex), [0.0, 0.5, 2.0])
+        curve = empirical_cdf_max_gain(np.zeros(1), [0.0, 0.5, 2.0])
         np.testing.assert_array_equal(curve.values, 1.0)
 
     def test_thresholds_below_minimum(self):
         rng = make_rng(1)
         samples = rng.standard_normal((50, 4)) + 1j * rng.standard_normal((50, 4))
         gains = max_gain(samples)
-        curve = empirical_cdf_max_gain(samples, [0.0, gains.min() * 0.5])
+        curve = empirical_cdf_max_gain(gains, [0.0, gains.min() * 0.5])
         np.testing.assert_array_equal(curve.values, 0.0)
 
     def test_counts_fraction(self):
-        samples = np.sqrt(np.array([[1.0], [2.0], [3.0], [4.0]])).astype(complex)
-        curve = empirical_cdf_max_gain(samples, [0.5, 1.0, 2.5, 4.0])
+        curve = empirical_cdf_max_gain(np.array([1.0, 2.0, 3.0, 4.0]), [0.5, 1.0, 2.5, 4.0])
         np.testing.assert_allclose(curve.values, [0.0, 0.25, 0.5, 1.0])
 
     def test_empty_input_rejected(self):
+        with pytest.raises(ValueError, match="non-empty"):
+            empirical_cdf_max_gain(np.zeros(0), [1.0])
         with pytest.raises(ValueError):
-            empirical_cdf_max_gain(np.zeros((0, 3), dtype=complex), [1.0])
-        with pytest.raises(ValueError):
-            empirical_cdf_max_gain(np.zeros((3, 3), dtype=complex), [])
+            empirical_cdf_max_gain(np.zeros(3), [])
+
+    def test_channel_vectors_rejected(self):
+        # a stale caller passing (count, N) samples, or one complex row,
+        # must fail rather than be read as gains
+        with pytest.raises(ValueError, match="1-D"):
+            empirical_cdf_max_gain(np.zeros((3, 3), dtype=complex), [1.0])
+        with pytest.raises(ValueError, match="1-D"):
+            empirical_cdf_max_gain(np.ones((3, 1)), [1.0])
+        with pytest.raises(ValueError, match="real"):
+            empirical_cdf_max_gain(np.ones(3, dtype=complex), [1.0])
 
     def test_unsorted_thresholds_rejected(self):
         with pytest.raises(ValueError):
-            empirical_cdf_max_gain(np.zeros((2, 2), dtype=complex), [1.0, 0.5])
+            empirical_cdf_max_gain(np.zeros(2), [1.0, 0.5])
 
 
 class TestSystematicResample:
@@ -118,8 +127,9 @@ class TestSmcCdf:
         # three-sigma Monte-Carlo agreement band on a small array
         N = 30
         direct = simulate_batch(small_model, SimulationConfig(N=N, B=150, seed=31), 10_000)
-        grid = np.quantile(max_gain(direct), np.linspace(0.05, 0.95, 15))
-        reference = empirical_cdf_max_gain(direct, grid)
+        gains = max_gain(direct)
+        grid = np.quantile(gains, np.linspace(0.05, 0.95, 15))
+        reference = empirical_cdf_max_gain(gains, grid)
         curve = smc_cdf(small_model, N=N, thresholds=grid, J=10_000, seed=32)
         assert np.max(np.abs(curve.values - reference.values)) <= 0.03
 
@@ -339,7 +349,7 @@ class TestReferenceCurves:
         # 3e4-sample reference used by the figure reproductions
         model = ClarkeModel(W=5.0, N=200)
         spectrum = eigen_spectrum(build_covariance(model))
-        samples = sample_exact(spectrum, seed=123, count=2_000)
-        grid = np.quantile(max_gain(samples), [0.1, 0.5, 0.9])
-        curve = empirical_cdf_max_gain(samples, grid)
+        gains = max_gain(sample_exact(spectrum, seed=123, count=2_000))
+        grid = np.quantile(gains, [0.1, 0.5, 0.9])
+        curve = empirical_cdf_max_gain(gains, grid)
         np.testing.assert_allclose(curve.values, [0.1, 0.5, 0.9], atol=0.02)
