@@ -88,6 +88,11 @@ class ArpModel:
         return float(self.source_lags[0].real)
 
     @cached_property
+    def stability(self) -> "StabilityReport":
+        """``check_stability``'s report, the roots found once per model."""
+        return _stability(self.alpha)
+
+    @cached_property
     def stationary_factor(self) -> np.ndarray:
         """Upper-triangular F, F^H F the stationary covariance of [g_k, ..., g_{k-p+1}].
 
@@ -163,23 +168,28 @@ def _root_moduli(alpha: np.ndarray) -> np.ndarray:
     return moduli
 
 
-def _gain_grid_size(alpha: np.ndarray) -> int:
+def _stability(alpha: np.ndarray) -> StabilityReport:
+    moduli = _root_moduli(alpha)
+    moduli.setflags(write=False)  # shared by every reader of a model's cached report
+    worst = float(moduli[0]) if moduli.size else 0.0
+    return StabilityReport(root_moduli=moduli, stable=worst < 1.0 - DELTA_STAB, margin=1.0 - worst)
+
+
+def _gain_grid_size(margin: float) -> int:
     """FFT length for unit_noise_gain: the smallest power of two >= 40 / margin.
 
     Clamped to [2^12, 2^21]; a margin <= 0 (a root on or outside the unit
     circle) gets the largest grid.
     """
-    moduli = _root_moduli(alpha)
-    margin = 1.0 - float(moduli[0]) if moduli.size else 1.0
     if not margin > 0.0:
         return _GRID_MAX
     needed = int(np.ceil(_GRID_DECAYS / margin))
     return int(min(max(1 << (needed - 1).bit_length(), _GRID_MIN), _GRID_MAX))
 
 
-def _inverse_power(alpha: np.ndarray, min_size: int = 1) -> np.ndarray:
-    """1 / |A(e^{jw})|^2 on the unit_noise_gain grid, grown to >= min_size points."""
-    nfft = max(_gain_grid_size(alpha), 1 << (min_size - 1).bit_length())
+def _inverse_power(alpha: np.ndarray, margin: float, min_size: int = 1) -> np.ndarray:
+    """1 / |A(e^{jw})|^2 on the unit_noise_gain grid of root margin ``margin``, grown to >= min_size points."""
+    nfft = max(_gain_grid_size(margin), 1 << (min_size - 1).bit_length())
     transfer = np.fft.fft(np.concatenate([[1.0 + 0.0j], -np.asarray(alpha)]), n=nfft)
     return 1.0 / np.abs(transfer) ** 2
 
@@ -196,7 +206,7 @@ def unit_noise_gain(alpha: np.ndarray) -> float:
     is below e^-40 and the grid mean is as exact as round-off allows.  It is
     clamped to [2^12, 2^21], and margins <= 0 use 2^21.
     """
-    return float(np.mean(_inverse_power(alpha)))
+    return float(np.mean(_inverse_power(alpha, _stability(alpha).margin)))
 
 
 def fit_clarke_model(model: ClarkeModel, p: int) -> ArpModel:
@@ -222,15 +232,21 @@ def fit_clarke_model(model: ClarkeModel, p: int) -> ArpModel:
         start = row + p  # index of r(l-1) in two_sided for l = row+1
         design[row] = two_sided[start : start - p : -1]
     alpha = np.linalg.lstsq(design, lags[1:], rcond=None)[0]
-    sigma_eps2 = float(lags[0].real) / unit_noise_gain(alpha)
-    return ArpModel(alpha=alpha, sigma_eps2=max(sigma_eps2, 0.0), p=p, source_lags=lags[: p + 1])
+    report = _stability(alpha)
+    # unit_noise_gain(alpha), on the grid of the roots found here
+    sigma_eps2 = float(lags[0].real) / float(np.mean(_inverse_power(alpha, report.margin)))
+    fitted = ArpModel(alpha=alpha, sigma_eps2=max(sigma_eps2, 0.0), p=p, source_lags=lags[: p + 1])
+    # the model's alpha is a copy of these coefficients, so their report is its own
+    fitted.__dict__["stability"] = report
+    return fitted
 
 
 def check_stability(model: ArpModel) -> StabilityReport:
-    """Moduli of the roots of 1 - sum_i alpha_i z^-i, and the stability verdict."""
-    moduli = _root_moduli(model.alpha)
-    worst = float(moduli[0]) if moduli.size else 0.0
-    return StabilityReport(root_moduli=moduli, stable=worst < 1.0 - DELTA_STAB, margin=1.0 - worst)
+    """Moduli of the roots of 1 - sum_i alpha_i z^-i, and the stability verdict.
+
+    Found once per model and cached (``ArpModel.stability``).
+    """
+    return model.stability
 
 
 def arp_induced_covariance(model: ArpModel, N: int) -> ToeplitzCovariance:
@@ -245,9 +261,10 @@ def arp_induced_covariance(model: ArpModel, N: int) -> ToeplitzCovariance:
     """
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
-    if not check_stability(model).stable:
+    report = check_stability(model)
+    if not report.stable:
         raise UnstableModelError("an unstable model has no stationary autocorrelation")
-    power = _inverse_power(model.alpha, 2 * N)
+    power = _inverse_power(model.alpha, report.margin, 2 * N)
     lags = np.conj(np.fft.rfft(power)[:N]) * (model.sigma_eps2 / power.size)
     return ToeplitzCovariance(first_row=lags, N=N)
 

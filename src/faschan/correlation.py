@@ -14,12 +14,14 @@ covariance including its per-port variance.
 Selection-gain statistics need only each row's max gain max_k |g_k|^2:
 ``sample_exact_max_gains`` reduces the rows ``sample_exact`` would draw a
 chunk of CHUNK_ROWS at a time, bit for bit, so its memory does not grow with
-the row count.  CHUNK_ROWS is defined here, in the lowest layer, and the
-generator's chunked simulation uses the same size.
+the row count.  CHUNK_ROWS belongs to this sampler alone: its chunks must
+start where the whole block's BLAS row groups start.  The generator chunks
+its rows by its own, smaller size, on which its bits do not depend.
 """
 
 from __future__ import annotations
 
+import copy
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -28,14 +30,14 @@ import numpy as np
 from scipy.linalg import toeplitz
 
 from .errors import NumericalError
-from .rng import complex_standard_normal, make_rng
+from .rng import SQRT_HALF, complex_standard_normal, make_rng
 from .stats import max_gain
 
 # round-off eigenvalues below -PSD_TOL * r(0) are reported, not silently clipped
 PSD_TOL = 1e-8
-# rows per sampling chunk, a power of two: enough that the per-chunk numpy
-# calls amortise, few enough that the generator's recursion buffer stays
-# near 27 MB at N = 200
+# rows per sampling chunk, a power of two so that chunks align with the
+# whole block's BLAS row groups: enough that the per-chunk numpy calls
+# amortise, few enough that a chunk's samples stay near 26 MB at N = 200
 CHUNK_ROWS = 8192
 
 
@@ -184,25 +186,34 @@ def sample_exact_max_gains(spec: EigenSpectrum, seed, count: int) -> np.ndarray:
     ``sample_exact`` draws one (count, N) block of real parts and then one of
     imaginary parts from a single stream.  Two copies of that stream give the
     same normals chunk by chunk: one reads the real parts in order, the other
-    first skips the count * N real parts, a chunk at a time, then reads the
-    imaginary parts.  Each chunk's rows are sampled and reduced as in the
-    whole block, and the power-of-two CHUNK_ROWS starts every chunk where one
-    of the whole block's BLAS row groups starts, so each row's product
-    rounds alike: the gains are bit-identical, and memory does not grow with
-    count.
+    starts as a copy of it taken once the first chunk's real parts are read,
+    skips the later chunks' real parts a chunk at a time (none when the
+    count fits one chunk), then reads the imaginary parts.  Each chunk's rows
+    are sampled and reduced as in the whole block, and the power-of-two
+    CHUNK_ROWS starts every chunk where one of the whole block's BLAS row
+    groups starts, so each row's product rounds alike: the gains are
+    bit-identical, and memory does not grow with count.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     n = spec.eigenvalues.size
     factor = spec.eigenvectors * np.sqrt(spec.eigenvalues)[None, :]
-    real, imag = make_rng(seed), make_rng(seed)
-    for start in range(0, count, CHUNK_ROWS):
-        imag.standard_normal((min(CHUNK_ROWS, count - start), n))
+    real, imag = make_rng(seed), None
     gains = np.empty(count)
     for start in range(0, count, CHUNK_ROWS):
         rows = min(CHUNK_ROWS, count - start)
+        # the parts of complex_standard_normal, scaled alike
+        g0 = np.empty((rows, n), dtype=np.complex128)
+        parts = real.standard_normal((rows, n))
+        np.multiply(parts, SQRT_HALF, out=g0.real)
+        if imag is None:
+            imag = copy.deepcopy(real)
+            for later in range(rows, count, CHUNK_ROWS):
+                imag.standard_normal(out=parts[: min(CHUNK_ROWS, count - later)])
+        imag.standard_normal(out=parts)
+        np.multiply(parts, SQRT_HALF, out=g0.imag)
+        del parts
         # freed once multiplied, as sample_exact frees them
-        g0 = complex_standard_normal(real, (rows, n), imag=imag)
         samples = g0 @ factor.T
         del g0
         gains[start : start + rows] = max_gain(samples)

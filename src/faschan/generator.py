@@ -16,9 +16,18 @@ impulse response a block at a time from a compiled banded solve and folds
 each block in by QR at fixed block boundaries, which fix the signs of its
 rows and hence every realization's bits.
 
-Rows are simulated CHUNK_ROWS (``correlation``'s chunk size) at a time in
-two stages: the row normals are drawn, then each model drives its recursion
-with them (``_simulate``).
+Rows are simulated _CHUNK_ROWS (1024) at a time in two stages: the row
+normals are drawn, then each model drives its recursion with them
+(``_simulate``).  A chunk's realizations live in one time-major buffer,
+newest port first, so each port's p lags are p consecutive rows: a step is
+one contiguous multiply by a coefficient block and one reduce over a stack
+that holds eps_k above the p products.  The reduce adds eps_k first and
+then the lags newest first, one row at a time; that summation order is
+part of the contract, as it fixes every bit of a realization.  A lone row
+is reduced over two columns, a zeroed one beside it, since numpy sums a
+one-column stack pairwise.  The chunk is sized so that a step's working
+set stays in L2: at 8192 rows it spills, and a step costs about 1.8x as
+much per row (p = 20).
 The draw keys a block of row streams in one vectorised pass
 (``rng.philox_keys``) and re-keys one Philox per row, so row i reads the
 normals of ``make_rng(derive(seed, i))`` bit for bit without building a
@@ -49,12 +58,15 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import blas, lapack
 
 from .arfit import ArpModel, check_stability
-from .correlation import CHUNK_ROWS
 from .errors import UnstableModelError
 from .interpolation import _rowwise
 from .rng import SQRT_HALF, complex_standard_normal, make_rng, philox_keys
 from .stats import max_gain
 
+# rows simulated per chunk: a recursion step touches the coefficient block,
+# the stack and the lag window, about 1 MB at p = 20, which stays in L2.
+# Not a tuning knob, and the bits do not depend on it
+_CHUNK_ROWS = 1024
 # rows whose normals are drawn and lifted row-major before each transpose
 _DRAW_ROWS = 256
 # impulse-response rows folded into the burn-in factor per QR update; fixed,
@@ -78,12 +90,18 @@ class SimulationConfig:
 
 
 class _Work:
-    """One thread's buffers for driving a model over a chunk of up to ``width`` rows."""
+    """One thread's buffers for driving a model over a chunk of up to ``width`` rows.
+
+    At least two columns wide, so that a lone row still reduces over two
+    (see ``drive``).
+    """
 
     def __init__(self, length: int, width: int, p_max: int):
+        cols = max(width, 2)
         self.draws = np.empty((min(_DRAW_ROWS, width), length), dtype=np.complex128)
-        self.g = np.empty((length, width), dtype=np.complex128)
-        self.products = np.empty((p_max, width), dtype=np.complex128)
+        self.ports = np.empty((length, cols), dtype=np.complex128)
+        self.coefs = np.empty((p_max, cols), dtype=np.complex128)
+        self.stack = np.empty((p_max + 1, cols), dtype=np.complex128)
 
     def drive(
         self,
@@ -101,29 +119,41 @@ class _Work:
         the conjugated burned-in factor ``lift``, one matrix-vector product
         per row (``_rowwise``), so the start rounds as it would for a lone
         row.  The rest, scaled by sigma_eps, drive the recursion
-        g_k = sum_i alpha_i g_{k-i} + eps_k over ports p+1..N in a time-major
-        buffer, so every lag access is a contiguous row.  Each step forms its
-        p lag products in one call and adds them to eps_k one at a time in a
-        fixed order, so each realization's trajectory is bit-identical no
-        matter how many realizations share the chunk.
+        g_k = sum_i alpha_i g_{k-i} + eps_k over ports p+1..N.
+
+        The buffer is time-major and newest first: row r holds port
+        max(N, p) - r, so port k's lag window [g_{k-1}, ..., g_{k-p}] is the
+        p rows below its own.  Each step multiplies the window by a (p, rows)
+        block filled with alpha once per call, into rows 1..p of a stack whose
+        row 0 holds eps_k, and reduces the stack over its first axis into
+        port k's row.  numpy adds along a non-fast axis one row at a time, so
+        g_k = eps_k + alpha_1 g_{k-1} + ... + alpha_p g_{k-p} in that order,
+        whatever the number of rows, and each realization's trajectory is
+        bit-identical however many realizations share the chunk.  A stack of
+        one column would make that axis the fast one, which numpy sums
+        pairwise; a lone row therefore runs with a zeroed spare column.
         """
         p = model.p
         scale = np.sqrt(model.sigma_eps2)
-        buf, terms = self.g[:, :rows], self.products[:p, :rows]
+        cols = max(rows, 2)  # a lone row runs beside a zeroed spare column
+        ports = self.ports[:, :cols]
+        ports[:, rows:] = 0.0
+        in_time = ports[::-1]
         for first in range(0, rows, self.draws.shape[0]):
             block = self.draws[: min(self.draws.shape[0], rows - first)]
             source = normals(first, block)
             block[:, :p] = _rowwise(lift, source[:, :p])
             np.multiply(source[:, p:], scale, out=block[:, p:])
-            buf[:, first : first + block.shape[0]] = block.T
-        alpha_col = model.alpha[:, None]
+            in_time[:, first : first + block.shape[0]] = block.T
+        coefs, stack = self.coefs[:p, :cols], self.stack[: p + 1, :cols]
+        coefs[...] = model.alpha[:, None]
+        last = ports.shape[0] - 1
         for k in range(p, n):
-            # terms[i] = alpha_i g_{k-1-i}
-            np.multiply(alpha_col, buf[k - p : k][::-1], out=terms)
-            acc = buf[k]
-            for term in terms:
-                acc += term
-        return buf[:n].T
+            row = last - k  # port k + 1; its lags are rows row + 1 .. row + p
+            stack[0] = ports[row]
+            np.multiply(coefs, ports[row + 1 : row + 1 + p], out=stack[1:])
+            np.add.reduce(stack, axis=0, out=ports[row])
+        return in_time[:n, :rows].T
 
 
 def _draw(block: np.ndarray, keys: np.ndarray) -> np.ndarray:
@@ -170,7 +200,7 @@ def _simulate(
     with its own buffers; every model still sees the same normals.
     """
     length = max(config.N, models[0].p)
-    width = min(CHUNK_ROWS, count)
+    width = min(_CHUNK_ROWS, count)
     # F^H e is [g_{B+p}, ..., g_{B+1}]; its rows reversed give ports 1..p in order
     lifts = [np.ascontiguousarray(burned_in_factor(m, config.B).conj().T[::-1]) for m in models]
     threads = max(1, min(workers, len(models)))
@@ -258,7 +288,7 @@ def simulate_max_gains(
     gains = np.empty((len(models), count))
 
     def keep(m, start, block):
-        # a few rows at a time, so the |g|^2 temporaries stay small
+        # a few rows at a time, so the |g| temporaries stay small
         for first in range(0, block.shape[0], _DRAW_ROWS):
             rows = block[first : first + _DRAW_ROWS]
             gains[m, start + first : start + first + rows.shape[0]] = max_gain(rows)

@@ -130,13 +130,11 @@ def philox_keys(seed, rows=None) -> np.ndarray:
     return keys
 
 
-def complex_standard_normal(rng: np.random.Generator, shape, imag: "np.random.Generator | None" = None) -> np.ndarray:
+def complex_standard_normal(rng: np.random.Generator, shape) -> np.ndarray:
     """Circularly-symmetric complex Gaussians with unit variance per entry.
 
     Real and imaginary parts are independent N(0, 1/2) draws, so
-    E|z|^2 = 1.  The real block is drawn before the imaginary block, from
-    ``rng``; with ``imag`` given, the imaginary block comes from that stream
-    instead (two copies of one stream read at different offsets).  Both
+    E|z|^2 = 1.  The real block is drawn before the imaginary block.  Both
     blocks pass through one float temporary into the complex result, each
     scaled by SQRT_HALF, which equals (re + 1j * im) / np.sqrt(2.0) bit for
     bit.
@@ -145,6 +143,6 @@ def complex_standard_normal(rng: np.random.Generator, shape, imag: "np.random.Ge
     parts = np.empty(shape)
     rng.standard_normal(out=parts)
     np.multiply(parts, SQRT_HALF, out=out.real)
-    (rng if imag is None else imag).standard_normal(out=parts)
+    rng.standard_normal(out=parts)
     np.multiply(parts, SQRT_HALF, out=out.imag)
     return out if out.ndim else out[()]

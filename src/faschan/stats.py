@@ -6,8 +6,12 @@ import numpy as np
 
 
 def max_gain(samples: np.ndarray) -> np.ndarray:
-    """max_k |g_k|^2 along the last axis."""
-    return np.max(np.abs(np.asarray(samples)) ** 2, axis=-1)
+    """max_k |g_k|^2 along the last axis.
+
+    Squares only the maxima: rounding x^2 is monotone in x >= 0, so the
+    square of the largest |g_k| is the largest rounded |g_k|^2, bit for bit.
+    """
+    return np.max(np.abs(np.asarray(samples)), axis=-1) ** 2
 
 
 def ks_distance(x, y) -> float:

@@ -10,6 +10,7 @@ from faschan.arfit import (
     _CANDIDATE_BRANCH,
     _REF_BRANCH,
     _gain_grid_size,
+    _stability,
     arp_induced_covariance,
     check_stability,
     fit_clarke_model,
@@ -131,17 +132,17 @@ class TestUnitNoiseGain:
         transfer = np.fft.fft(np.concatenate([[1.0 + 0.0j], -alpha]), n=1 << 23)
         reference = float(np.mean(1.0 / np.abs(transfer) ** 2))
         assert unit_noise_gain(alpha) == pytest.approx(reference, rel=1e-7)
-        assert _gain_grid_size(alpha) <= 1 << 21
+        assert _gain_grid_size(_stability(alpha).margin) <= 1 << 21
 
     def test_grid_follows_root_margin(self):
         # margin 0.5 needs only 80 points, so the floor applies; margin 1e-3 needs 40000
-        assert _gain_grid_size(np.array([0.5 + 0j])) == 1 << 12
-        assert _gain_grid_size(np.array([0.999 + 0j])) == 1 << 16
-        assert _gain_grid_size(np.array([1.0 - 1e-9 + 0j])) == 1 << 21
+        assert _gain_grid_size(_stability(np.array([0.5 + 0j])).margin) == 1 << 12
+        assert _gain_grid_size(_stability(np.array([0.999 + 0j])).margin) == 1 << 16
+        assert _gain_grid_size(_stability(np.array([1.0 - 1e-9 + 0j])).margin) == 1 << 21
 
     def test_unstable_alpha_uses_largest_grid(self):
         for alpha in ([1.5 + 0j], [1.0 + 0j], [0.0, 1.2 + 0j]):
-            assert _gain_grid_size(np.array(alpha)) == 1 << 21
+            assert _gain_grid_size(_stability(np.array(alpha)).margin) == 1 << 21
 
     def test_ar1_closed_form(self):
         for a in (0.3 + 0.4j, 0.99, -0.999j):

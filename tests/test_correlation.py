@@ -191,15 +191,17 @@ class TestSampleExact:
 class TestSampleExactMaxGains:
     def test_reference_gains_match_the_whole_block(self, monkeypatch):
         spectrum = eigen_spectrum(build_covariance(ClarkeModel(W=2.0, N=30)))
-        count = CHUNK_ROWS + 3
-        whole = max_gain(sample_exact(spectrum, (8, 0), count))
-        np.testing.assert_array_equal(sample_exact_max_gains(spectrum, (8, 0), count), whole)
+        # below one chunk (no real part to skip), exactly one, and one more
+        for count in (5, CHUNK_ROWS, CHUNK_ROWS + 3):
+            whole = max_gain(sample_exact(spectrum, (8, 0), count))
+            np.testing.assert_array_equal(sample_exact_max_gains(spectrum, (8, 0), count), whole)
         # many chunks, the last one short; chunks of a power-of-two size start
         # where the whole block's BLAS row groups start, so rows round alike
         monkeypatch.setattr(correlation, "CHUNK_ROWS", 16)
-        np.testing.assert_array_equal(
-            sample_exact_max_gains(spectrum, (8, 0), 50), max_gain(sample_exact(spectrum, (8, 0), 50))
-        )
+        for count in (50, 11):
+            np.testing.assert_array_equal(
+                sample_exact_max_gains(spectrum, (8, 0), count), max_gain(sample_exact(spectrum, (8, 0), count))
+            )
 
     def test_count_validated(self, spectrum_w2n100):
         # as sample_exact: an empty sample has no CDF, a negative one no shape

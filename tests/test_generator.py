@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from faschan.arfit import ArpModel, fit_clarke_model, yule_walker_fit
-from faschan.correlation import ClarkeModel
+from faschan.correlation import CHUNK_ROWS, ClarkeModel
 from faschan.errors import UnstableModelError
 from faschan.generator import (
+    _CHUNK_ROWS,
     _DRAW_ROWS,
-    CHUNK_ROWS,
     SimulationConfig,
     simulate,
     simulate_batch,
@@ -99,11 +99,60 @@ class TestRowStreams:
         count = CHUNK_ROWS + 3
         batch = simulate_batch(WHITE, config, count)
         gains = simulate_max_gains([WHITE, WHITE], config, count)
-        # both sides of a _DRAW_ROWS boundary and of a CHUNK_ROWS boundary
-        for row in (0, _DRAW_ROWS - 1, _DRAW_ROWS, CHUNK_ROWS - 1, CHUNK_ROWS, count - 1):
+        # both sides of a _DRAW_ROWS boundary and of two chunk boundaries
+        for row in (0, _DRAW_ROWS - 1, _DRAW_ROWS, _CHUNK_ROWS - 1, _CHUNK_ROWS, CHUNK_ROWS, count - 1):
             normals = complex_standard_normal(make_rng(derive(seed, row)), config.N)
             np.testing.assert_array_equal(batch[row], normals)
             np.testing.assert_array_equal(gains[:, row], max_gain(normals[None, :])[0])
+
+
+def recursion_reference(model, realization, normals):
+    """Ports p+1..N of ``realization`` recomputed from its first p by the stated summation order.
+
+    g_k starts as eps_k = sqrt(sigma_eps2) * normal_k; the products
+    alpha_i g_{k-i}, each rounded on its own, are added one at a time,
+    newest lag first.
+    """
+    p = model.p
+    g = realization.copy()
+    eps = normals[p:] * np.sqrt(model.sigma_eps2)
+    for k in range(p, g.size):
+        products = model.alpha * g[k - p : k][::-1]
+        acc = eps[k - p]
+        for term in products:
+            acc = acc + term
+        g[k] = acc
+    return g
+
+
+class TestSummationOrder:
+    # the order of the adds is part of the contract: it fixes every bit of a
+    # realization, so no chunking, sharing or vectorisation may change it.
+    # With p + 1 > 8 terms a pairwise sum would round differently, which a
+    # lone row risks (a one-column reduce runs along numpy's fast axis)
+
+    @pytest.fixture(params=["production_fit", "complex_root"])
+    def case(self, request, complex_root_model):
+        if request.param == "production_fit":
+            return fit_clarke_model(ClarkeModel(W=5.0, N=200), 37), 200, 1000
+        return complex_root_model, 40, 20
+
+    @pytest.mark.parametrize("count", [1, 2, _CHUNK_ROWS + 1])
+    def test_batch_rows_follow_the_reference_recursion(self, case, count):
+        model, N, B = case
+        config = SimulationConfig(N=N, B=B, seed=(14, count))
+        batch = simulate_batch(model, config, count)
+        # the last two rows meet the last chunk, which at _CHUNK_ROWS + 1 is one row
+        for row in range(count) if count <= 2 else (0, count - 2, count - 1):
+            normals = complex_standard_normal(make_rng(derive(config.seed, row)), N)
+            np.testing.assert_array_equal(batch[row], recursion_reference(model, batch[row], normals))
+
+    def test_simulate_follows_the_reference_recursion(self, case):
+        model, N, B = case
+        config = SimulationConfig(N=N, B=B, seed=15)
+        got = simulate(model, config)
+        normals = complex_standard_normal(make_rng(config.seed), N)
+        np.testing.assert_array_equal(got, recursion_reference(model, got, normals))
 
 
 class TestSimulateBatch:
@@ -126,18 +175,23 @@ class TestSimulateBatch:
         batch = simulate_batch(model, config, 5)
         row3 = simulate(model, SimulationConfig(N=N, B=B, seed=(6, 3)))
         np.testing.assert_array_equal(batch[3], row3)
-        # rows on both sides of a chunk boundary, including the short last chunk
-        batch = simulate_batch(model, config, CHUNK_ROWS + 3)
-        for row in (0, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 2):
-            solo = simulate(model, SimulationConfig(N=N, B=B, seed=(6, row)))
-            np.testing.assert_array_equal(batch[row], solo)
+        # rows on both sides of a chunk boundary, including a short last chunk
+        # and a last chunk of one row
+        for count, rows in (
+            (_CHUNK_ROWS + 1, (0, _CHUNK_ROWS - 1, _CHUNK_ROWS)),
+            (CHUNK_ROWS + 3, (0, _CHUNK_ROWS - 1, _CHUNK_ROWS, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 2)),
+        ):
+            batch = simulate_batch(model, config, count)
+            for row in rows:
+                solo = simulate(model, SimulationConfig(N=N, B=B, seed=(6, row)))
+                np.testing.assert_array_equal(batch[row], solo)
 
     def test_working_memory_independent_of_count(self):
         # beyond its own output, a batch holds one chunk's buffers whatever its size
         model = yule_walker_fit([1.0, 0.3])
         config = SimulationConfig(N=8, B=8, seed=3)
         extra = []
-        for count in (2 * CHUNK_ROWS, 4 * CHUNK_ROWS):
+        for count in (2 * _CHUNK_ROWS, 4 * _CHUNK_ROWS):
             tracemalloc.start()
             try:
                 batch = simulate_batch(model, config, count)
@@ -191,14 +245,18 @@ class TestSimulateBatch:
             simulate_batch(model, SimulationConfig(N=5, B=0, seed=0), 0)
 
 
+# a last chunk of one row, a short last chunk, and the exact sampler's chunk
+BOUNDARY_COUNTS = [_CHUNK_ROWS + 1, _CHUNK_ROWS + 3, CHUNK_ROWS + 3]
+
+
 class TestSimulateMaxGains:
     def test_bit_identical_to_reducing_the_batch(self):
         model = make_consistent_model(3, seed=(67, 0), max_mod=0.8)
         config = SimulationConfig(N=12, B=24, seed=5)
-        count = CHUNK_ROWS + 3
-        np.testing.assert_array_equal(
-            simulate_max_gains([model], config, count)[0], max_gain(simulate_batch(model, config, count))
-        )
+        for count in BOUNDARY_COUNTS:
+            np.testing.assert_array_equal(
+                simulate_max_gains([model], config, count)[0], max_gain(simulate_batch(model, config, count))
+            )
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_rows_match_one_model_calls(self, workers):
@@ -206,11 +264,11 @@ class TestSimulateMaxGains:
         # sharing a call changes no model's bits, across a chunk boundary too
         models = [make_consistent_model(p, seed=(68, p), max_mod=0.8) for p in (1, 3, 5)]
         config = SimulationConfig(N=12, B=24, seed=7)
-        count = CHUNK_ROWS + 3
-        gains = simulate_max_gains(models, config, count, workers=workers)
-        assert gains.shape == (len(models), count)
-        for model, row in zip(models, gains):
-            np.testing.assert_array_equal(row, simulate_max_gains([model], config, count)[0])
+        for count in BOUNDARY_COUNTS:
+            gains = simulate_max_gains(models, config, count, workers=workers)
+            assert gains.shape == (len(models), count)
+            for model, row in zip(models, gains):
+                np.testing.assert_array_equal(row, simulate_max_gains([model], config, count)[0])
 
     def test_threads_share_no_buffers(self):
         # more threads than cores and a short switch interval: a buffer used by
@@ -240,7 +298,7 @@ class TestSimulateMaxGains:
         model = yule_walker_fit([1.0, 0.3])
         config = SimulationConfig(N=8, B=8, seed=3)
         extra = []
-        for count in (2 * CHUNK_ROWS, 4 * CHUNK_ROWS):
+        for count in (2 * _CHUNK_ROWS, 4 * _CHUNK_ROWS):
             tracemalloc.start()
             try:
                 gains = simulate_max_gains([model], config, count)

@@ -60,9 +60,3 @@ class TestComplexStandardNormal:
         np.testing.assert_array_equal(
             np.asarray(got).reshape(-1).view(np.float64), np.asarray(expected).reshape(-1).view(np.float64)
         )
-
-    def test_imaginary_parts_from_a_second_stream(self):
-        real, imag = make_rng(4), make_rng(4)
-        imag.standard_normal((6, 3))  # skip the real block
-        got = complex_standard_normal(real, (6, 3), imag=imag)
-        np.testing.assert_array_equal(got, complex_standard_normal(make_rng(4), (6, 3)))

@@ -53,6 +53,26 @@ class TestEmpiricalCdf:
             empirical_cdf_max_gain(np.zeros(2), [1.0, 0.5])
 
 
+class TestMaxGain:
+    def test_bit_identical_to_squaring_every_entry(self):
+        # rounding x^2 is monotone in x >= 0, so squaring only the row maxima
+        # gives the old formula's bits, ties and over- and underflow included
+        rng = make_rng(21)
+        rows = complex_standard_normal(rng, (400, 64)) * 10.0 ** rng.uniform(-170, 170, (400, 1))
+        rows[0] = 0.0
+        rows[1, 1:] = rows[1, 0]  # exact ties
+        # neighbouring magnitudes, whose squares may round to one value
+        rows[2].real = np.nextafter(1.0, 2.0) ** np.arange(64)
+        rows[2].imag = 0.0
+        rows[3, 7] = complex(np.nan, 0.0)
+        rows[4, 0] = complex(0.0, np.inf)
+        with np.errstate(over="ignore"):
+            old = np.max(np.abs(rows) ** 2, axis=-1)
+            np.testing.assert_array_equal(max_gain(rows), old)
+            assert np.isnan(old[3]) and np.isinf(old[4])
+            np.testing.assert_array_equal(max_gain(rows.real), np.max(np.abs(rows.real) ** 2, axis=-1))
+
+
 class TestSystematicResample:
     def test_uniform_weights_identity_multiset(self):
         for J in (4, 17, 100):
