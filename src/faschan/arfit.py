@@ -32,7 +32,6 @@ from .correlation import (
     ClarkeModel,
     ToeplitzCovariance,
     build_covariance,
-    clarke_autocorrelation,
     eigen_spectrum,
     sample_exact_max_gains,
 )
@@ -222,9 +221,7 @@ def fit_clarke_model(model: ClarkeModel, p: int) -> ArpModel:
     if not 1 <= p <= model.N - 1:
         raise ValueError(f"p must be in [1, N-1], got {p}")
     L = min(_WINDOW_FACTOR * p, model.N - 1)
-    lags = np.array(
-        [clarke_autocorrelation(lag, model) for lag in range(L + 1)], dtype=np.complex128
-    )
+    lags = model.lags[: L + 1]
     # rows l = 1..L of the recursion; negative lags enter conjugated
     two_sided = np.concatenate([np.conj(lags[p:0:-1]), lags])
     design = np.empty((L, p), dtype=np.complex128)

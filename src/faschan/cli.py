@@ -23,6 +23,7 @@ import json
 import os
 import sys
 import time
+from concurrent.futures import Executor, Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Callable
@@ -32,9 +33,20 @@ import numpy as np
 from . import arfit, correlation, generator, interpolation, selection_gain
 from .errors import FitError, NumericalError, UnstableModelError
 from .rng import complex_standard_normal, derive, make_rng
-from .stats import max_gain
 
 _STRATEGIES = ("random", "uniform_endpoints", "uniform_interior")
+
+
+class _Inline(Executor):
+    """The one-worker executor: runs each task as it is submitted, on the calling thread."""
+
+    def submit(self, fn, /, *args, **kwargs) -> Future:
+        future = Future()
+        try:
+            future.set_result(fn(*args, **kwargs))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
 
 
 def max_workers() -> int:
@@ -247,10 +259,8 @@ def _threshold_grid(args, spectrum) -> np.ndarray:
     if args.t_grid is not None:
         return args.t_grid
     count = args.t_quantile_grid
-    if count < 1:
-        raise ValueError("--t-quantile-grid must be >= 1")
     pilot_n = 4000
-    gains = max_gain(correlation.sample_exact(spectrum, derive(args.seed, 90), pilot_n))
+    gains = correlation.sample_exact_max_gains(spectrum, derive(args.seed, 90), pilot_n)
     probs = (np.arange(count) + 0.5) / count
     return np.quantile(gains, probs)
 
@@ -341,35 +351,57 @@ def cmd_generate(args) -> int:
 
 
 def cmd_cdf(args) -> int:
+    """One task graph on the worker pool: each stage starts once its inputs exist.
+
+    The exact side (spectrum, then the exact column beside the threshold
+    pilot), each order's direct side (fit, then the direct column) and each
+    particle threshold (``smc_cdf`` on the same pool) are tasks.  Every task
+    draws from its own derived seed, so the output does not depend on the
+    worker count; with one worker the tasks run inline, in submission order.
+    """
     _require(args, ["W", "N", "p"])
+    if args.t_grid is None and args.t_quantile_grid < 1:
+        raise ValueError("--t-quantile-grid must be >= 1")
     model = _clarke(args)
     orders = args.p
     seed = args.seed
-    spectrum = correlation.eigen_spectrum(correlation.build_covariance(model))
-    grid = _threshold_grid(args, spectrum)
-    exact = selection_gain.empirical_cdf_max_gain(
-        correlation.sample_exact_max_gains(spectrum, derive(seed, 0), args.mc), grid
-    )
-    rows = []
-    for p in orders:
-        fitted = arfit.fit_clarke_model(model, p)
-        config = generator.SimulationConfig(N=model.N, B=args.burn * model.N, seed=derive(seed, 1, p))
-        direct = selection_gain.empirical_cdf_max_gain(
-            generator.simulate_max_gains([fitted], config, args.mc)[0], grid
-        )
-        smc = selection_gain.smc_cdf(
-            fitted,
-            model.N,
-            grid,
-            J=args.J,
-            ess_ratio=args.ess_ratio,
-            seed=derive(seed, 2, p),
-            burn_in_factor=args.burn,
-            workers=max_workers(),
-        )
-        for i, t in enumerate(grid):
-            row = (t, exact.values[i], direct.values[i], smc.values[i], args.J, seed)
-            rows.append(row if len(orders) == 1 else (p, *row))
+    mc = args.mc
+    workers = max_workers()
+    with ThreadPoolExecutor(max_workers=workers) if workers > 1 else _Inline() as pool:
+
+        def exact_side():
+            spectrum = correlation.eigen_spectrum(correlation.build_covariance(model))
+            exact = pool.submit(correlation.sample_exact_max_gains, spectrum, derive(seed, 0), mc)
+            return _threshold_grid(args, spectrum), exact
+
+        def direct_side(p):
+            fitted = arfit.fit_clarke_model(model, p)
+            config = generator.SimulationConfig(N=model.N, B=args.burn * model.N, seed=derive(seed, 1, p))
+            return fitted, pool.submit(generator.simulate_max_gains, [fitted], config, mc)
+
+        try:
+            exact_task = pool.submit(exact_side)
+            direct_tasks = [pool.submit(direct_side, p) for p in orders]
+            grid, exact = exact_task.result()
+            columns = []
+            for p, task in zip(orders, direct_tasks):
+                fitted, direct = task.result()
+                smc = selection_gain.smc_cdf(
+                    fitted, model.N, grid, J=args.J, ess_ratio=args.ess_ratio,
+                    seed=derive(seed, 2, p), burn_in_factor=args.burn, pool=pool,
+                )
+                columns.append((p, direct, smc))
+            exact_curve = selection_gain.empirical_cdf_max_gain(exact.result(), grid)
+            rows = []
+            for p, direct, smc in columns:
+                direct_curve = selection_gain.empirical_cdf_max_gain(direct.result()[0], grid)
+                for i, t in enumerate(grid):
+                    row = (t, exact_curve.values[i], direct_curve.values[i], smc.values[i], args.J, seed)
+                    rows.append(row if len(orders) == 1 else (p, *row))
+        except BaseException:
+            # drop the queued stages rather than finish them for nothing
+            pool.shutdown(cancel_futures=True)
+            raise
     header = ["threshold", "f_exact_mc", "f_ar_direct_mc", "f_smc", "J", "seed"]
     if len(orders) > 1:
         header = ["p", *header]

@@ -15,8 +15,15 @@ Selection-gain statistics need only each row's max gain max_k |g_k|^2:
 ``sample_exact_max_gains`` reduces the rows ``sample_exact`` would draw a
 chunk of CHUNK_ROWS at a time, bit for bit, so its memory does not grow with
 the row count.  CHUNK_ROWS belongs to this sampler alone: its chunks must
-start where the whole block's BLAS row groups start.  The generator chunks
-its rows by its own, smaller size, on which its bits do not depend.
+start where the whole block's BLAS row groups start, and a lone last row is
+multiplied beside a zeroed one so that it rounds as it does in the block.
+The generator chunks its rows by its own size, on which its bits do not
+depend.  Every exact draw of the ``cdf`` command, the threshold pilot
+included, goes through this sampler beside the command's other stages on
+its worker pool, so a chunk is kept small.
+
+A model's lags 0..N-1 are computed once (``ClarkeModel.lags``); the
+covariance and every surrogate fit read slices of them.
 """
 
 from __future__ import annotations
@@ -37,8 +44,8 @@ from .stats import max_gain
 PSD_TOL = 1e-8
 # rows per sampling chunk, a power of two so that chunks align with the
 # whole block's BLAS row groups: enough that the per-chunk numpy calls
-# amortise, few enough that a chunk's samples stay near 26 MB at N = 200
-CHUNK_ROWS = 8192
+# amortise, few enough that a chunk's samples stay near 3.3 MB at N = 200
+CHUNK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -56,6 +63,13 @@ class ClarkeModel:
             raise ValueError(f"W must be > 0, got {self.W}")
         if not self.sigma2 > 0:
             raise ValueError(f"sigma2 must be > 0, got {self.sigma2}")
+
+    @cached_property
+    def lags(self) -> np.ndarray:
+        """``clarke_autocorrelation`` at lags 0..N-1, computed once per model, read-only."""
+        row = np.array([clarke_autocorrelation(lag, self) for lag in range(self.N)], dtype=np.complex128)
+        row.setflags(write=False)
+        return row
 
 
 def clarke_autocorrelation(lag: int, model: ClarkeModel) -> float:
@@ -112,8 +126,7 @@ class ToeplitzCovariance:
 
 def build_covariance(model: ClarkeModel) -> ToeplitzCovariance:
     """Covariance whose first row is the sinc autocorrelation at lags 0..N-1."""
-    row = np.array([clarke_autocorrelation(lag, model) for lag in range(model.N)], dtype=np.complex128)
-    return ToeplitzCovariance(first_row=row, N=model.N)
+    return ToeplitzCovariance(first_row=model.lags, N=model.N)
 
 
 @dataclass(frozen=True)
@@ -192,7 +205,9 @@ def sample_exact_max_gains(spec: EigenSpectrum, seed, count: int) -> np.ndarray:
     are sampled and reduced as in the whole block, and the power-of-two
     CHUNK_ROWS starts every chunk where one of the whole block's BLAS row
     groups starts, so each row's product rounds alike: the gains are
-    bit-identical, and memory does not grow with count.
+    bit-identical, and memory does not grow with count.  A last chunk of
+    one row is multiplied beside a zeroed row: alone it would run as a
+    matrix-vector product, which rounds otherwise.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
@@ -202,19 +217,23 @@ def sample_exact_max_gains(spec: EigenSpectrum, seed, count: int) -> np.ndarray:
     gains = np.empty(count)
     for start in range(0, count, CHUNK_ROWS):
         rows = min(CHUNK_ROWS, count - start)
-        # the parts of complex_standard_normal, scaled alike
-        g0 = np.empty((rows, n), dtype=np.complex128)
+        # the parts of complex_standard_normal, scaled alike; a lone last
+        # row gets a zeroed row beside it
+        width = 2 if rows == 1 and count > 1 else rows
+        g0 = np.empty((width, n), dtype=np.complex128)
+        g0[rows:] = 0.0
         parts = real.standard_normal((rows, n))
-        np.multiply(parts, SQRT_HALF, out=g0.real)
+        np.multiply(parts, SQRT_HALF, out=g0.real[:rows])
         if imag is None:
             imag = copy.deepcopy(real)
             for later in range(rows, count, CHUNK_ROWS):
                 imag.standard_normal(out=parts[: min(CHUNK_ROWS, count - later)])
         imag.standard_normal(out=parts)
-        np.multiply(parts, SQRT_HALF, out=g0.imag)
+        np.multiply(parts, SQRT_HALF, out=g0.imag[:rows])
         del parts
         # freed once multiplied, as sample_exact frees them
         samples = g0 @ factor.T
         del g0
-        gains[start : start + rows] = max_gain(samples)
+        gains[start : start + rows] = max_gain(samples[:rows])
+        del samples  # before the next chunk's draws
     return gains

@@ -7,7 +7,10 @@ swarm propagates the lifted state, multiplies weights by the indicator of
 mass, and accumulates the product in log domain.  Systematic resampling
 keeps the swarm effective when truncation kills most particles.  The swarm
 starts from the lifted state after the generator's burn-in, drawn from that
-state's exact law, so no warm-up path is simulated.
+state's exact law, so no warm-up path is simulated.  Each threshold is one
+independent run from its own derived seed, so ``smc_cdf`` may run them on
+any executor: the ``cdf`` command passes the pool it shares with its Monte
+Carlo columns.
 
 The empirical curves take the per-realization selection gains, not the
 realizations: the samplers' max-gain forms (``sample_exact_max_gains``,
@@ -27,7 +30,7 @@ estimate round exactly as they did.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Executor
 from dataclasses import dataclass
 
 import numpy as np
@@ -202,12 +205,14 @@ def smc_cdf(
     ess_ratio: float = 0.5,
     seed=0,
     burn_in_factor: int = 5,
-    workers: int = 1,
+    pool: "Executor | None" = None,
 ) -> CdfCurve:
     """Particle estimate of the selection-gain CDF on a threshold grid.
 
-    Thresholds are evaluated independently with derived seeds (the result
-    does not depend on ``workers``).  Each run draws its swarm's lifted
+    Thresholds are evaluated independently with derived seeds, on ``pool``
+    if one is given and on the calling thread otherwise (the result does
+    not depend on the pool; the ``cdf`` command passes the one it shares
+    with its other stages).  Each run draws its swarm's lifted
     state at port p, [g_p, ..., g_1], from the exact law of the generator's
     first p kept ports after a burn-in of ``burn_in_factor * N`` ports
     (``burned_in_factor``, factored once per call), then applies the first
@@ -234,11 +239,7 @@ def smc_cdf(
             model, N, float(t[idx]), J, ess_ratio, derive(seed, idx), start_factor
         )
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, range(t.size)))
-    else:
-        results = [run(i) for i in range(t.size)]
+    results = list(pool.map(run, range(t.size))) if pool is not None else [run(i) for i in range(t.size)]
     raw = np.array([r[0] for r in results])
     extinctions = np.array([r[1] for r in results], dtype=int)
     return CdfCurve(

@@ -9,8 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from faschan import correlation, generator
 from faschan.arfit import fit_clarke_model
-from faschan.cli import main
+from faschan.cli import main, max_workers
 from faschan.correlation import CHUNK_ROWS, ClarkeModel, build_covariance, eigen_spectrum, sample_exact
 from faschan.generator import SimulationConfig, simulate_batch
 from faschan.interpolation import (
@@ -174,8 +175,11 @@ class TestCdf:
             np.testing.assert_array_equal(block[:, 2], exact.values)
             np.testing.assert_array_equal(block[:, 3], direct.values)
 
-    def test_peak_memory_independent_of_mc(self, capsys, tmp_path):
-        # only (mc,) gain vectors grow with mc: no (mc, N) block is built
+    def test_peak_memory_independent_of_mc(self, monkeypatch, capsys, tmp_path):
+        # only (mc,) gain vectors grow with mc: no (mc, N) block is built.
+        # One worker runs the stages in turn; on a pool the peak would also
+        # depend on which stages happen to overlap
+        monkeypatch.setenv("FAS_THREADS", "1")
         argv = ["cdf", "--W", "1", "--N", "40", "--p", "1,2", "--J", "100", "--t-grid", "0.2:4:6",
                 "--seed", "3", "--no-meta", "--out", str(tmp_path / "cdf.csv")]
         peaks = []
@@ -189,12 +193,79 @@ class TestCdf:
         capsys.readouterr()
         assert peaks[1] == pytest.approx(peaks[0], rel=0.1)
 
+    def test_peak_memory_independent_of_mc_on_a_pool(self, monkeypatch, capsys, tmp_path):
+        # on a pool, each stage that happens to overlap another holds at most
+        # one exact chunk and one generator chunk, whatever mc; an (mc, N)
+        # block would raise the peak between these two mc far beyond that
+        monkeypatch.setenv("FAS_THREADS", "2")
+        n = 40
+        argv = ["cdf", "--W", "1", "--N", str(n), "--p", "1,2", "--J", "100", "--t-grid", "0.2:4:6",
+                "--seed", "3", "--no-meta", "--out", str(tmp_path / "cdf.csv")]
+        peaks = []
+        for mc in (2 * CHUNK_ROWS, 16 * CHUNK_ROWS):
+            tracemalloc.start()
+            try:
+                assert main([*argv, "--mc", str(mc)]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        capsys.readouterr()
+        assert peaks[1] <= peaks[0] + max_workers() * (CHUNK_ROWS + generator._CHUNK_ROWS) * n * 16
+
+    def test_output_independent_of_worker_count(self, monkeypatch, capsys, tmp_path):
+        # every task of the cdf graph owns its seed: the pilot grid, both
+        # Monte Carlo columns and f_smc come out alike on any pool size
+        out = tmp_path / "cdf.csv"
+        argv = ["cdf", "--W", "2", "--N", "30", "--p", "1,2", "--mc", "1500", "--J", "200",
+                "--t-quantile-grid", "5", "--seed", "4", "--no-meta", "--out", str(out)]
+        texts = []
+        for threads in ("1", "2", "3"):
+            monkeypatch.setenv("FAS_THREADS", threads)
+            assert main(argv) == 0
+            texts.append(out.read_bytes())
+        capsys.readouterr()
+        assert texts[1] == texts[0] and texts[2] == texts[0]
+        assert len(texts[0].decode().splitlines()) == 1 + 2 * 5
+
+    def test_pilot_memory_is_one_chunk(self, monkeypatch, capsys, tmp_path):
+        # the quantile pilot draws its 4000 rows a chunk at a time, as the
+        # exact column does, so it adds at most about one chunk of samples
+        # to the peak of the same job on a given grid; a chunk well below
+        # the pilot's size tells the two apart
+        chunk = 256
+        monkeypatch.setattr(correlation, "CHUNK_ROWS", chunk)
+        monkeypatch.setenv("FAS_THREADS", "1")  # stages in turn, so the peaks compare stage by stage
+        n = 50
+        argv = ["cdf", "--W", "2", "--N", str(n), "--p", "2", "--mc", "1000", "--J", "100",
+                "--seed", "3", "--no-meta", "--out", str(tmp_path / "cdf.csv")]
+        peaks = []
+        for grid in (["--t-grid", "0.5:4:5"], ["--t-quantile-grid", "5"]):
+            tracemalloc.start()
+            try:
+                assert main([*argv, *grid]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        capsys.readouterr()
+        assert peaks[1] - peaks[0] <= chunk * n * 16
+
     def test_empty_grid_rejected(self, capsys):
         code, _, err = run_cli(
             ["cdf", "--W", "1", "--N", "15", "--p", "1", "--t-grid", "0:1:0", "--no-meta"],
             capsys,
         )
         assert code == 2
+
+    def test_bad_quantile_grid_rejected_before_sampling(self, monkeypatch, capsys):
+        def unexpected(*args, **kwargs):
+            raise AssertionError("sampled before the grid size was checked")
+
+        monkeypatch.setattr(correlation, "sample_exact_max_gains", unexpected)
+        code, _, err = run_cli(
+            ["cdf", "--W", "1", "--N", "15", "--p", "1", "--t-quantile-grid", "0", "--no-meta"], capsys
+        )
+        assert code == 2
+        assert "--t-quantile-grid" in err
 
     def test_format_flag_usage_error(self):
         # --format belongs to select-order; cdf writes CSV only

@@ -87,6 +87,28 @@ class TestBuildCovariance:
             eigmin = float(np.linalg.eigvalsh(cov.matrix()).min())
             assert eigmin >= -1e-8 * cov.r0
 
+    def test_lags_computed_once_per_model(self, monkeypatch):
+        # the covariance and every fit slice one cached lag vector, whose
+        # entries are the scalar formula's bits
+        from faschan.arfit import fit_clarke_model
+
+        model = ClarkeModel(W=5.0, N=60)
+        expected = np.array([clarke_autocorrelation(lag, model) for lag in range(model.N)], dtype=np.complex128)
+        calls = []
+
+        def counted(lag, model):
+            calls.append(lag)
+            return clarke_autocorrelation(lag, model)
+
+        monkeypatch.setattr(correlation, "clarke_autocorrelation", counted)
+        cov = build_covariance(model)
+        fits = [fit_clarke_model(model, p) for p in (1, 5, 29, 40)]
+        assert sorted(calls) == list(range(model.N))
+        np.testing.assert_array_equal(cov.first_row, expected)
+        for fitted in fits:
+            np.testing.assert_array_equal(fitted.source_lags, expected[: fitted.p + 1])
+        assert not model.lags.flags.writeable
+
     def test_rejects_bad_first_row(self):
         with pytest.raises(ValueError):
             ToeplitzCovariance(first_row=np.array([0.0, 0.1]), N=2)
@@ -191,14 +213,15 @@ class TestSampleExact:
 class TestSampleExactMaxGains:
     def test_reference_gains_match_the_whole_block(self, monkeypatch):
         spectrum = eigen_spectrum(build_covariance(ClarkeModel(W=2.0, N=30)))
-        # below one chunk (no real part to skip), exactly one, and one more
-        for count in (5, CHUNK_ROWS, CHUNK_ROWS + 3):
+        # below one chunk (no real part to skip), exactly one, one more (a
+        # lone last row, which runs beside a zeroed row) and three more
+        for count in (1, 5, CHUNK_ROWS, CHUNK_ROWS + 1, CHUNK_ROWS + 3):
             whole = max_gain(sample_exact(spectrum, (8, 0), count))
             np.testing.assert_array_equal(sample_exact_max_gains(spectrum, (8, 0), count), whole)
         # many chunks, the last one short; chunks of a power-of-two size start
         # where the whole block's BLAS row groups start, so rows round alike
         monkeypatch.setattr(correlation, "CHUNK_ROWS", 16)
-        for count in (50, 11):
+        for count in (50, 49, 11):
             np.testing.assert_array_equal(
                 sample_exact_max_gains(spectrum, (8, 0), count), max_gain(sample_exact(spectrum, (8, 0), count))
             )

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -156,7 +157,9 @@ class TestSmcCdf:
     def test_deterministic_and_worker_invariant(self, small_model):
         grid = [1.0, 3.0, 6.0]
         a = smc_cdf(small_model, N=15, thresholds=grid, J=200, seed=6)
-        b = smc_cdf(small_model, N=15, thresholds=grid, J=200, seed=6, workers=3)
+        with ThreadPoolExecutor(max_workers=3) as pool:
+            b = smc_cdf(small_model, N=15, thresholds=grid, J=200, seed=6, pool=pool)
+        np.testing.assert_array_equal(a.raw_values, b.raw_values)
         np.testing.assert_array_equal(a.values, b.values)
         np.testing.assert_array_equal(a.extinction_steps, b.extinction_steps)
 
