@@ -1,13 +1,19 @@
 """Complex AR(p) surrogate fitted by correlation matching.
 
-The fit solves the complex Yule-Walker normal equations R a = r built from
-the target lags r(0..p), takes the innovation variance as r(0) - a^H r, and
-is accepted only if every root of 1 - sum_i a_i z^-i lies inside the unit
-circle with margin.  The fitted process's own autocorrelation is the inverse
-transform of its power spectrum sigma^2 / |A(e^{jw})|^2, evaluated on the
-same grid that normalizes the innovation variance; it gives the Toeplitz
-covariance for cross-checking against dense conditioning.  The smoother's
-prior is the model's cached ``ArpModel.stationary_factor``.
+The production fit (``fit_clarke_model``) imposes the recursion
+r(l) = sum_i a_i r(l-i) in least squares over the target lags l = 1..2p
+(capped at N-1), then sets the innovation variance so that the stationary
+per-port variance is r(0) exactly: sigma^2 = r(0) / ``unit_noise_gain``(a).
+A model is accepted only if every root of 1 - sum_i a_i z^-i lies inside the
+unit circle with margin.  ``yule_walker_fit`` solves the classic normal
+equations on r(0..p), with variance r(0) - a^H r; no command uses it, and
+the tests build their toy models with it.
+
+The fitted process's own autocorrelation is the inverse transform of its
+power spectrum sigma^2 / |A(e^{jw})|^2, evaluated on the same grid that
+normalizes the innovation variance; it gives the Toeplitz covariance for
+cross-checking against dense conditioning.  The smoother's prior is the
+model's cached ``ArpModel.stationary_factor``.
 
 Order selection follows the Monte-Carlo procedure: an exact-model reference
 sample of the selection gain, one simulated sample per stable candidate

@@ -130,10 +130,14 @@ def _strategy_list(text: str) -> list[str]:
 
 
 def _linear_grid(text: str) -> np.ndarray:
+    """start:stop:count thresholds, checked as the CDFs will check them, before any sampling."""
     start, stop, count = text.split(":")
-    if int(count) < 1:
+    start, stop, count = float(start), float(stop), int(count)
+    if count < 1:
         raise ValueError("count must be >= 1")
-    return np.linspace(float(start), float(stop), int(count))
+    if not 0 <= start <= stop:
+        raise ValueError("thresholds must satisfy 0 <= start <= stop")
+    return np.linspace(start, stop, count)
 
 
 @dataclass(frozen=True)

@@ -11,16 +11,14 @@ carries the 2*pi factor), and the unit-variance white vector is colored as
 g = U Lambda^(1/2) g0, so the sample covariance reproduces the model
 covariance including its per-port variance.
 
-Selection-gain statistics need only each row's max gain max_k |g_k|^2:
-``sample_exact_max_gains`` reduces the rows ``sample_exact`` would draw a
-chunk of CHUNK_ROWS at a time, bit for bit, so its memory does not grow with
-the row count.  CHUNK_ROWS belongs to this sampler alone: its chunks must
-start where the whole block's BLAS row groups start, and a lone last row is
-multiplied beside a zeroed one so that it rounds as it does in the block.
-The generator chunks its rows by its own size, on which its bits do not
-depend.  Every exact draw of the ``cdf`` command, the threshold pilot
-included, goes through this sampler beside the command's other stages on
-its worker pool, so a chunk is kept small.
+Exact rows are drawn through ``EigenSpectrum.factor``, the (r, N) rank-r
+factor of the covariance: the sinc Toeplitz matrix has only about 2W + 1
+significant eigenvalues (Slepian, Bell Syst. Tech. J. 57, 1978), and r keeps
+those above the eigendecomposition's own round-off.  One chunk loop draws
+CHUNK_ROWS rows at a time from one stream, 2r normals per row in order, so a
+row's normals do not depend on the chunk size.  ``sample_exact`` stacks the
+chunks and ``sample_exact_max_gains`` keeps each row's max gain only, so its
+working memory does not grow with the row count.
 
 A model's lags 0..N-1 are computed once (``ClarkeModel.lags``); the
 covariance and every surrogate fit read slices of them.
@@ -28,7 +26,6 @@ covariance and every surrogate fit read slices of them.
 
 from __future__ import annotations
 
-import copy
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -37,14 +34,16 @@ import numpy as np
 from scipy.linalg import toeplitz
 
 from .errors import NumericalError
-from .rng import SQRT_HALF, complex_standard_normal, make_rng
+from .rng import SQRT_HALF, make_rng
 from .stats import max_gain
 
 # round-off eigenvalues below -PSD_TOL * r(0) are reported, not silently clipped
 PSD_TOL = 1e-8
-# rows per sampling chunk, a power of two so that chunks align with the
-# whole block's BLAS row groups: enough that the per-chunk numpy calls
-# amortise, few enough that a chunk's samples stay near 3.3 MB at N = 200
+# rows per exact sampling chunk: enough that the per-chunk numpy calls
+# amortise, few enough that a chunk's samples stay near 3.3 MB at N = 200.
+# A row's normals do not depend on it; only a lone last row's product does
+# (a matrix-vector product rounds otherwise, by about 1e-15), so outputs
+# reproduce bit for bit at a fixed CHUNK_ROWS
 CHUNK_ROWS = 1024
 
 
@@ -150,6 +149,21 @@ class EigenSpectrum:
     def trace(self) -> float:
         return float(np.sum(self.eigenvalues))
 
+    @cached_property
+    def factor(self) -> np.ndarray:
+        """(r, N) rows of (U[:, :r] Lambda[:r]^(1/2))^T, read-only, cached.
+
+        r counts the eigenvalues above N * eps * lambda_1 (eps the float64
+        machine epsilon), at least one: the rest lie below eigh's own
+        round-off.  A row z of r unit complex normals gives z @ factor, a
+        draw of covariance U[:, :r] Lambda[:r] U[:, :r]^H.
+        """
+        w = self.eigenvalues
+        rank = max(1, int(np.count_nonzero(w > w.size * np.finfo(float).eps * w[0])))
+        factor = np.ascontiguousarray((self.eigenvectors[:, :rank] * np.sqrt(w[:rank])).T)
+        factor.setflags(write=False)
+        return factor
+
 
 def eigen_spectrum(cov: ToeplitzCovariance) -> EigenSpectrum:
     """Hermitian eigendecomposition, eigenvalues sorted descending.
@@ -178,62 +192,32 @@ def eigen_spectrum(cov: ToeplitzCovariance) -> EigenSpectrum:
     return EigenSpectrum(eigenvalues=np.clip(w, 0.0, None), eigenvectors=u)
 
 
-def sample_exact(spec: EigenSpectrum, seed, count: int) -> np.ndarray:
-    """Draw ``count`` channel vectors g = U Lambda^(1/2) g0, one per row.
+def _exact_chunks(spec: EigenSpectrum, seed, count: int):
+    """The ``count`` exact rows of ``seed``'s stream, CHUNK_ROWS rows at a time.
 
-    g0 is unit-variance circularly-symmetric complex white noise from the
-    seeded stream, so rows have covariance U Lambda U^H exactly in law.
+    Each row's r complex normals are 2r standard normals drawn in order,
+    real and imaginary parts alternating, each scaled by SQRT_HALF.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     rng = make_rng(seed)
-    n = spec.eigenvalues.size
-    factor = spec.eigenvectors * np.sqrt(spec.eigenvalues)[None, :]
-    g0 = complex_standard_normal(rng, (count, n))
-    return g0 @ factor.T
+    factor = spec.factor
+    for start in range(0, count, CHUNK_ROWS):
+        parts = rng.standard_normal((min(CHUNK_ROWS, count - start), 2 * factor.shape[0]))
+        parts *= SQRT_HALF
+        yield parts.view(np.complex128) @ factor
+
+
+def sample_exact(spec: EigenSpectrum, seed, count: int) -> np.ndarray:
+    """Draw ``count`` channel vectors g = U Lambda^(1/2) g0, one per row.
+
+    g0 is unit-variance circularly-symmetric complex white noise from the
+    seeded stream, so rows have the covariance U Lambda U^H in law, up to
+    the eigenvalues ``EigenSpectrum.factor`` drops.
+    """
+    return np.concatenate(list(_exact_chunks(spec, seed, count)))
 
 
 def sample_exact_max_gains(spec: EigenSpectrum, seed, count: int) -> np.ndarray:
-    """``max_gain(sample_exact(spec, seed, count))``, CHUNK_ROWS rows at a time.
-
-    ``sample_exact`` draws one (count, N) block of real parts and then one of
-    imaginary parts from a single stream.  Two copies of that stream give the
-    same normals chunk by chunk: one reads the real parts in order, the other
-    starts as a copy of it taken once the first chunk's real parts are read,
-    skips the later chunks' real parts a chunk at a time (none when the
-    count fits one chunk), then reads the imaginary parts.  Each chunk's rows
-    are sampled and reduced as in the whole block, and the power-of-two
-    CHUNK_ROWS starts every chunk where one of the whole block's BLAS row
-    groups starts, so each row's product rounds alike: the gains are
-    bit-identical, and memory does not grow with count.  A last chunk of
-    one row is multiplied beside a zeroed row: alone it would run as a
-    matrix-vector product, which rounds otherwise.
-    """
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    n = spec.eigenvalues.size
-    factor = spec.eigenvectors * np.sqrt(spec.eigenvalues)[None, :]
-    real, imag = make_rng(seed), None
-    gains = np.empty(count)
-    for start in range(0, count, CHUNK_ROWS):
-        rows = min(CHUNK_ROWS, count - start)
-        # the parts of complex_standard_normal, scaled alike; a lone last
-        # row gets a zeroed row beside it
-        width = 2 if rows == 1 and count > 1 else rows
-        g0 = np.empty((width, n), dtype=np.complex128)
-        g0[rows:] = 0.0
-        parts = real.standard_normal((rows, n))
-        np.multiply(parts, SQRT_HALF, out=g0.real[:rows])
-        if imag is None:
-            imag = copy.deepcopy(real)
-            for later in range(rows, count, CHUNK_ROWS):
-                imag.standard_normal(out=parts[: min(CHUNK_ROWS, count - later)])
-        imag.standard_normal(out=parts)
-        np.multiply(parts, SQRT_HALF, out=g0.imag[:rows])
-        del parts
-        # freed once multiplied, as sample_exact frees them
-        samples = g0 @ factor.T
-        del g0
-        gains[start : start + rows] = max_gain(samples[:rows])
-        del samples  # before the next chunk's draws
-    return gains
+    """``max_gain(sample_exact(spec, seed, count))``, without the (count, N) block."""
+    return np.concatenate([max_gain(samples) for samples in _exact_chunks(spec, seed, count)])

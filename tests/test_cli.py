@@ -267,6 +267,21 @@ class TestCdf:
         assert code == 2
         assert "--t-quantile-grid" in err
 
+    @pytest.mark.parametrize("grid", ["5:1:4", "-1:2:4"])
+    def test_bad_threshold_grid_rejected_before_sampling(self, grid, monkeypatch, capsys):
+        # stop below start, or a negative threshold, fails before the spectrum
+        # and the Monte Carlo columns are drawn
+        def unexpected(*args, **kwargs):
+            raise AssertionError("sampled before the grid was checked")
+
+        monkeypatch.setattr(correlation, "sample_exact_max_gains", unexpected)
+        monkeypatch.setattr(correlation, "eigen_spectrum", unexpected)
+        code, _, err = run_cli(
+            ["cdf", "--W", "1", "--N", "15", "--p", "1", f"--t-grid={grid}", "--no-meta"], capsys
+        )
+        assert code == 2
+        assert "--t-grid" in err
+
     def test_format_flag_usage_error(self):
         # --format belongs to select-order; cdf writes CSV only
         with pytest.raises(SystemExit) as exc:

@@ -157,6 +157,19 @@ class TestEigenSpectrum:
         spec = eigen_spectrum(cov)
         np.testing.assert_allclose(spec.eigenvalues, np.clip(roots, 0, None), atol=1e-9)
 
+    @pytest.mark.parametrize(("W", "N", "rank"), [(5.0, 200, 22), (2.0, 100, 14)])
+    def test_factor_rebuilds_the_covariance(self, W, N, rank):
+        # the rank-r factor keeps the eigenvalues above N * eps * lambda_1,
+        # so what it drops stays within N * eps * lambda_1 * N per entry
+        cov = build_covariance(ClarkeModel(W=W, N=N))
+        spec = eigen_spectrum(cov)
+        factor = spec.factor
+        assert factor.shape == (rank, N)
+        assert not factor.flags.writeable
+        assert spec.factor is factor
+        tol = N * np.finfo(float).eps * spec.eigenvalues[0] * N
+        np.testing.assert_allclose(factor.conj().T @ factor, cov.matrix(), rtol=0, atol=tol)
+
     def test_warns_on_indefinite_input(self):
         row = np.array([1.0, 0.999, 0.0, -0.999])
         cov = ToeplitzCovariance(first_row=row, N=4)
@@ -209,17 +222,41 @@ class TestSampleExact:
         with pytest.raises(ValueError):
             sample_exact(spectrum_w2n100, seed=0, count=0)
 
+    def test_w5_sample_covariance_within_five_standard_errors(self):
+        # entry (i, j) of a sample covariance of circular complex Gaussian
+        # rows has variance S_ii S_jj / n, and of the pseudo-covariance
+        # (zero in law) (S_ii S_jj + |S_ij|^2) / n
+        model = ClarkeModel(W=5.0, N=200)
+        target = build_covariance(model).matrix()
+        n = 20_000
+        samples = sample_exact(eigen_spectrum(build_covariance(model)), seed=31, count=n)
+        power = np.outer(np.diag(target).real, np.diag(target).real)
+        assert np.all(np.abs(empirical_covariance(samples) - target) <= 5 * np.sqrt(power / n))
+        pseudo = samples.T @ samples / n
+        assert np.all(np.abs(pseudo) <= 5 * np.sqrt((power + np.abs(target) ** 2) / n))
+
+    def test_rows_do_not_depend_on_the_chunk_size(self, monkeypatch, spectrum_w2n100):
+        # a row's normals come from the stream in order whatever the chunk;
+        # only a lone last row's matrix-vector product rounds otherwise.
+        # Under 16-row chunks, 50 rows end in a short chunk, 49 in a lone row
+        counts = (50, 49)
+        whole = [sample_exact(spectrum_w2n100, (9, count), count) for count in counts]
+        monkeypatch.setattr(correlation, "CHUNK_ROWS", 16)
+        for count, expected in zip(counts, whole):
+            got = sample_exact(spectrum_w2n100, (9, count), count)
+            assert got.shape == expected.shape
+            assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
+
 
 class TestSampleExactMaxGains:
     def test_reference_gains_match_the_whole_block(self, monkeypatch):
         spectrum = eigen_spectrum(build_covariance(ClarkeModel(W=2.0, N=30)))
-        # below one chunk (no real part to skip), exactly one, one more (a
-        # lone last row, which runs beside a zeroed row) and three more
+        # both samplers read the same chunks: below one chunk, exactly one,
+        # one more (a lone last row) and three more
         for count in (1, 5, CHUNK_ROWS, CHUNK_ROWS + 1, CHUNK_ROWS + 3):
             whole = max_gain(sample_exact(spectrum, (8, 0), count))
             np.testing.assert_array_equal(sample_exact_max_gains(spectrum, (8, 0), count), whole)
-        # many chunks, the last one short; chunks of a power-of-two size start
-        # where the whole block's BLAS row groups start, so rows round alike
+        # many chunks, the last one short or a lone row
         monkeypatch.setattr(correlation, "CHUNK_ROWS", 16)
         for count in (50, 49, 11):
             np.testing.assert_array_equal(

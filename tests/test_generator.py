@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from faschan.arfit import ArpModel, fit_clarke_model, yule_walker_fit
-from faschan.correlation import CHUNK_ROWS, ClarkeModel
+from faschan.correlation import ClarkeModel
 from faschan.errors import UnstableModelError
 from faschan.generator import (
     _CHUNK_ROWS,
@@ -96,11 +96,11 @@ class TestRowStreams:
     @pytest.mark.parametrize("seed", [6, (2**32 + 1, 7)], ids=repr)
     def test_batch_rows_read_their_derived_streams(self, seed):
         config = SimulationConfig(N=6, B=3, seed=seed)
-        count = CHUNK_ROWS + 3
+        count = _CHUNK_ROWS + 3
         batch = simulate_batch(WHITE, config, count)
         gains = simulate_max_gains([WHITE, WHITE], config, count)
-        # both sides of a _DRAW_ROWS boundary and of two chunk boundaries
-        for row in (0, _DRAW_ROWS - 1, _DRAW_ROWS, _CHUNK_ROWS - 1, _CHUNK_ROWS, CHUNK_ROWS, count - 1):
+        # both sides of a _DRAW_ROWS boundary and of a chunk boundary
+        for row in (0, _DRAW_ROWS - 1, _DRAW_ROWS, _CHUNK_ROWS - 1, _CHUNK_ROWS, count - 1):
             normals = complex_standard_normal(make_rng(derive(seed, row)), config.N)
             np.testing.assert_array_equal(batch[row], normals)
             np.testing.assert_array_equal(gains[:, row], max_gain(normals[None, :])[0])
@@ -179,7 +179,7 @@ class TestSimulateBatch:
         # and a last chunk of one row
         for count, rows in (
             (_CHUNK_ROWS + 1, (0, _CHUNK_ROWS - 1, _CHUNK_ROWS)),
-            (CHUNK_ROWS + 3, (0, _CHUNK_ROWS - 1, _CHUNK_ROWS, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 2)),
+            (_CHUNK_ROWS + 3, (0, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 2)),
         ):
             batch = simulate_batch(model, config, count)
             for row in rows:
@@ -245,8 +245,8 @@ class TestSimulateBatch:
             simulate_batch(model, SimulationConfig(N=5, B=0, seed=0), 0)
 
 
-# a last chunk of one row, a short last chunk, and the exact sampler's chunk
-BOUNDARY_COUNTS = [_CHUNK_ROWS + 1, _CHUNK_ROWS + 3, CHUNK_ROWS + 3]
+# a last chunk of one row and a short last chunk
+BOUNDARY_COUNTS = [_CHUNK_ROWS + 1, _CHUNK_ROWS + 3]
 
 
 class TestSimulateMaxGains:
