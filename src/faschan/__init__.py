@@ -39,6 +39,7 @@ from .interpolation import (
     nmse,
     port_select,
     stationary_covariance,
+    trial_patterns,
 )
 from .selection_gain import (
     CdfCurve,

@@ -19,6 +19,7 @@ alone.  Exit codes: 0 success, 1 numerical or runtime failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -122,6 +123,20 @@ def _switch(text: str) -> bool:
 _strategy = _choice(*_STRATEGIES)
 
 
+def _checked(convert: Callable[[str], object], rule: str, holds: Callable[[object], bool]):
+    def check(text: str):
+        value = convert(text)
+        if not holds(value):
+            raise ValueError(f"{rule}, got {value}")
+        return value
+
+    return check
+
+
+_count = _checked(int, "must be >= 1", lambda value: value >= 1)
+_fraction = _checked(float, "each entry must be in [0, 1]", lambda value: 0.0 <= value <= 1.0)
+
+
 def _strategy_list(text: str) -> list[str]:
     strategies = [_strategy(part.strip()) for part in text.split(",")]
     if len(set(strategies)) != len(strategies):
@@ -173,16 +188,16 @@ _PARAMS = (
     _Param("J", int, "10000", "particle count", ("cdf",)),
     _Param("ess_ratio", float, "0.5", "resample below this ESS fraction", ("cdf",)),
     _Param("t_grid", _linear_grid, None, "linear grid start:stop:count", ("cdf",)),
-    _Param("t_quantile_grid", int, "40",
+    _Param("t_quantile_grid", _count, "40",
            "grid size drawn from pilot exact-sample quantiles, without --t-grid", ("cdf",)),
     _Param("M", int, None, "observed port count", ("interpolate", "bench")),
     _Param("ratio", float, None, "observation fraction M/N, without --M", ("bench",)),
     _Param("strategy", _strategy, None, "port selection strategy", ("interpolate",)),
     _Param("strategy", _strategy, "uniform_endpoints", "port selection strategy", ("bound",)),
     _Param("strategies", _strategy_list, ",".join(_STRATEGIES), "comma list of strategies", ("bench",)),
-    _Param("trials", int, "100", "trials per strategy and size", ("bench",)),
-    _Param("trials", int, "500", "trials per observation count", ("bound",)),
-    _Param("eps", _comma_list(float), None, "comma list of NMSE targets", ("bound",)),
+    _Param("trials", _count, "100", "trials per strategy and size", ("bench",)),
+    _Param("trials", _count, "500", "trials per observation count", ("bound",)),
+    _Param("eps", _comma_list(_fraction), None, "comma list of NMSE targets", ("bound",)),
     _Param("sigma_v2", float, "0.0", "measurement noise variance", ("interpolate", "bench")),
     _Param("sigma2", float, "1.0", "per-port variance", _ALL),
     _Param("seed", int, "0", "stream seed", _ALL),
@@ -364,8 +379,6 @@ def cmd_cdf(args) -> int:
     worker count; with one worker the tasks run inline, in submission order.
     """
     _require(args, ["W", "N", "p"])
-    if args.t_grid is None and args.t_quantile_grid < 1:
-        raise ValueError("--t-quantile-grid must be >= 1")
     model = _clarke(args)
     orders = args.p
     seed = args.seed
@@ -458,16 +471,11 @@ def cmd_bench(args) -> int:
         cov, oracle, kalman = _estimators(model, arfit.fit_clarke_model(model, args.p))
         truths = correlation.sample_exact(correlation.eigen_spectrum(cov), derive(seed, n), trials)
         for s_idx, strategy in enumerate(args.strategies):
-            patterns = [
-                interpolation.port_select(strategy, n, m_obs, derive(seed, n, s_idx, trial))
-                for trial in range(trials)
-            ]
-            nm_k = np.zeros(trials)
-            nm_o = np.zeros(trials)
-            t_kalman = np.zeros(trials)
+            nm_k, nm_o, t_kalman = np.zeros((3, trials))
+            l_max = np.zeros(trials, dtype=int)
             # trials that observe the same ports share one reconstruction call
-            for members in interpolation.group_by_pattern(patterns):
-                indices = patterns[members[0]]
+            patterns = interpolation.trial_patterns(strategy, n, m_obs, trials, derive(seed, n, s_idx))
+            for indices, members in patterns:
                 values = np.array([
                     _observed_values(truths[t], indices, sigma_v2, derive(seed, n, s_idx, t, 1))
                     for t in members
@@ -477,16 +485,17 @@ def cmd_bench(args) -> int:
                 t0 = time.perf_counter()
                 by_kalman = kalman(obs)
                 t_kalman[members] = (time.perf_counter() - t0) / len(members)
+                l_max[members] = interpolation.max_gap(indices, n)
                 unobserved = np.setdiff1d(np.arange(1, n + 1), indices)
                 if unobserved.size:
                     nm_k[members] = interpolation.nmse(truths[members], by_kalman.means, unobserved)
                     nm_o[members] = interpolation.nmse(truths[members], by_oracle.means, unobserved)
-            for trial, indices in enumerate(patterns):
+            for trial in range(trials):
                 # measured times are environmental, like the timestamp header;
                 # --no-meta zeroes them so reruns are byte-identical
                 wall_us = 0 if args.no_meta else int(round(t_kalman[trial] * 1e6))
                 rows.append((trial, strategy, n, m_obs, sigma_v2, nm_k[trial], nm_o[trial],
-                             interpolation.max_gap(indices, n), wall_us))
+                             l_max[trial], wall_us))
     _write_csv(
         args,
         ["trial_id", "strategy", "N", "M", "sigma_v2", "nmse_kalman", "nmse_oracle", "l_max", "wall_time_us"],
@@ -504,18 +513,12 @@ def cmd_bound(args) -> int:
         fitted, _ = _fit_model(args, model)
     cov, oracle, kalman = _estimators(model, fitted)
     spectrum = correlation.eigen_spectrum(cov)
-
-    def truth_sampler(sample_seed, count):
-        return correlation.sample_exact(spectrum, sample_seed, count)
-
-    def select(m, trial_seed):
-        return interpolation.port_select(args.strategy, model.N, m, trial_seed)
-
+    truth_sampler = functools.partial(correlation.sample_exact, spectrum)
     min_m = 2 if args.strategy == "uniform_endpoints" else 1
 
     def empirical(eps, estimator, trial_seed):
         return interpolation.empirical_min_observations(
-            eps, args.trials, trial_seed, estimator, truth_sampler, select, model.N, min_m=min_m
+            eps, args.trials, trial_seed, estimator, truth_sampler, args.strategy, model.N, min_m=min_m
         )
 
     rows = []

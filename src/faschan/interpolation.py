@@ -10,8 +10,8 @@ is the central cross-check of this module.  The smoother returns its means,
 O(N p^3 + N p^2 T) for T value rows, and computes its variances, another
 O(N p^3), on their first read.  Also here: the posterior-error
 NMSE, the eigenvalue-tail lower bound on how many observations a target
-error requires, and the port selection strategies whose gap geometry
-drives interpolation quality.
+error requires and its Monte Carlo check, and the port selection strategies
+(grouped per trial by ``trial_patterns``) whose gaps drive interpolation.
 
 Ports are 1-based throughout, matching the array indexing used by the
 observation sets.
@@ -152,14 +152,10 @@ def dense_mmse(cov: ToeplitzCovariance, obs: ObservationSet) -> ReconstructionRe
             "raise the noise floor to regularize"
         )
     means = _rowwise(cross, solved[:, :t].T)
-    variances = np.maximum(
-        np.diag(sigma).real - np.einsum("ij,ji->i", cross, solved[:, t:]).real, 0.0
-    )
-    unobserved = np.setdiff1d(np.arange(n), idx, assume_unique=False)
-    if unobserved.size == 0:
-        nmse = 0.0
-    else:
-        nmse = float(np.sum(variances[unobserved]) / np.sum(np.diag(sigma).real[unobserved]))
+    prior = np.diag(sigma).real
+    variances = np.maximum(prior - np.einsum("ij,ji->i", cross, solved[:, t:]).real, 0.0)
+    unobserved = np.setdiff1d(np.arange(n), idx)
+    nmse = float(np.sum(variances[unobserved]) / np.sum(prior[unobserved])) if unobserved.size else 0.0
     return ReconstructionResult(
         means=means[0] if obs.values.ndim == 1 else means,
         posterior=(variances, nmse),
@@ -302,7 +298,8 @@ def nmse(truth, estimate, subset) -> "float | np.ndarray":
     denom = np.sum(np.abs(truth[..., idx]) ** 2, axis=-1)
     if np.any(denom == 0.0):
         raise ValueError("subset carries zero energy; NMSE undefined")
-    ratios = np.sum(np.abs(estimate[..., idx] - truth[..., idx]) ** 2, axis=-1) / denom
+    # subtracting first indexes once: the same differences, laid out and summed alike
+    ratios = np.sum(np.abs((estimate - truth)[..., idx]) ** 2, axis=-1) / denom
     return float(ratios) if ratios.ndim == 0 else ratios
 
 
@@ -400,14 +397,19 @@ def max_gap(indices, N: int) -> int:
     return max(interior, int(idx[0] - 1), int(N - idx[-1]))
 
 
-def group_by_pattern(patterns) -> list[list[int]]:
-    """Trial numbers grouped by identical port indices, groups in first-seen order.
+def trial_patterns(strategy: str, N: int, M: int, trials: int, seed) -> list:
+    """Each distinct (indices, member trials) pair of a round, in first-seen order.
 
-    Each group's trials can share one (T, M) reconstruction call.
+    Trial t observes ``port_select(strategy, N, M, derive(seed, t))``, and a
+    group's trials can share one (T, M) reconstruction call.  A ``uniform_*``
+    grid needs no seed: one group of every trial, on the shared read-only grid.
     """
-    groups: dict[bytes, list[int]] = {}
-    for trial, indices in enumerate(patterns):
-        groups.setdefault(np.asarray(indices).tobytes(), []).append(trial)
+    if strategy != "random":
+        return [(port_select(strategy, N, M), list(range(trials)))]
+    groups: dict[bytes, tuple[np.ndarray, list[int]]] = {}
+    for trial in range(trials):
+        indices = port_select(strategy, N, M, derive(seed, trial))
+        groups.setdefault(indices.tobytes(), (indices, []))[1].append(trial)
     return list(groups.values())
 
 
@@ -417,35 +419,29 @@ def empirical_min_observations(
     seed,
     estimator,
     truth_sampler,
-    select,
+    strategy: str,
     N: int,
     min_m: int = 1,
 ) -> int:
     """Smallest M whose Monte-Carlo mean NMSE reaches epsilon, by bisection.
 
-    ``estimator(obs) -> ReconstructionResult``, ``truth_sampler(seed, count)
-    -> (count, N) channels`` and ``select(M, trial_seed) -> indices`` are
-    supplied by the caller.  M qualifies when the sample mean NMSE is within
-    three standard errors of the target or below it.  Trials that select the
-    same indices (``group_by_pattern``) form one (T, M) observation set, so
-    the estimator runs once per distinct pattern and must accept stacked
-    values; the ratios keep the trial order.
+    ``estimator(obs) -> ReconstructionResult`` and ``truth_sampler(seed,
+    count) -> (count, N) channels`` come from the caller; the round at M reads
+    truths and ports (``trial_patterns``) from seed ``derive(seed, M)``.  M
+    qualifies when its mean NMSE is at most epsilon plus three standard
+    errors.  The estimator runs once per port pattern, on stacked values, and
+    the ratios keep the trial order.
     """
 
     def qualifies(m: int) -> bool:
         ratios = np.empty(trials)
         truths = truth_sampler(derive(seed, m), trials)
-        patterns = [np.asarray(select(m, derive(seed, m, trial))) for trial in range(trials)]
-        for members in group_by_pattern(patterns):
-            indices = patterns[members[0]]
-            rows = truths[members]
+        for indices, members in trial_patterns(strategy, N, m, trials, derive(seed, m)):
+            rows = truths if len(members) == trials else truths[members]
             obs = ObservationSet(indices=indices, values=rows[:, indices - 1], noise_var=0.0)
             result = estimator(obs)
             unobserved = np.setdiff1d(np.arange(1, N + 1), indices)
-            if unobserved.size == 0:
-                ratios[members] = 0.0
-            else:
-                ratios[members] = nmse(rows, result.means, unobserved)
+            ratios[members] = nmse(rows, result.means, unobserved) if unobserved.size else 0.0
         mean = float(np.mean(ratios))
         sem = float(np.std(ratios, ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
         return mean <= epsilon + 3.0 * sem

@@ -25,6 +25,7 @@ from faschan.interpolation import (
     min_observations_bound,
     nmse,
     port_select,
+    trial_patterns,
 )
 from faschan.rng import complex_standard_normal, derive, make_rng
 from faschan.selection_gain import empirical_cdf_max_gain, smc_cdf
@@ -200,9 +201,6 @@ def test_c5_bound_tightness():
     def truth_sampler(seed, count):
         return sample_exact(spectrum, seed, count)
 
-    def select(m, seed):
-        return port_select("uniform_endpoints", model.N, m, seed)
-
     details = []
     ok = True
     for eps in (1e-1, 1e-2, 1e-3):
@@ -213,7 +211,7 @@ def test_c5_bound_tightness():
             seed=(SEED, 509, int(-np.log10(eps))),
             estimator=lambda obs: dense_mmse(cov, obs),
             truth_sampler=truth_sampler,
-            select=select,
+            strategy="uniform_endpoints",
             N=model.N,
             min_m=2,
         )
@@ -239,16 +237,9 @@ def test_c6_strategy_ordering():
         kalman_mean = {}
         for strategy in strategies:
             kal = np.empty(trials)
-            patterns = [
-                port_select(strategy, n, m, (SEED, 511, n, strategies.index(strategy), t))
-                for t in range(trials)
-            ]
             # trials that observe the same ports share one call per route
-            groups = {}
-            for t, idx in enumerate(patterns):
-                groups.setdefault(idx.tobytes(), []).append(t)
-            for members in groups.values():
-                idx = patterns[members[0]]
+            seed = (SEED, 511, n, strategies.index(strategy))
+            for idx, members in trial_patterns(strategy, n, m, trials, seed):
                 rows = truths[members]
                 obs = ObservationSet(indices=idx, values=rows[:, idx - 1], noise_var=0.0)
                 unobserved = np.setdiff1d(np.arange(1, n + 1), idx)

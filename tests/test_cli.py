@@ -431,6 +431,28 @@ class TestBound:
         for row in rows:
             assert int(row[1]) <= int(row[2])
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["bound", "--W", "2", "--N", "100", "--eps", "0.001,2", "--trials", "500"], "--eps"),
+            (["bound", "--W", "2", "--N", "100", "--eps", "-0.1"], "--eps"),
+            (["bound", "--W", "2", "--N", "100", "--eps", "0.1", "--trials", "0"], "--trials"),
+            (["bench", "--W", "2", "--N", "50", "--ratio", "0.2", "--p", "4", "--trials", "0"], "--trials"),
+        ],
+    )
+    def test_bad_eps_or_trials_rejected_before_sampling(self, argv, flag, monkeypatch, capsys):
+        # a target outside [0, 1] or an empty Monte Carlo round fails before
+        # the spectrum and the first round's truths are drawn
+        def unexpected(*args, **kwargs):
+            raise AssertionError("sampled before the flags were checked")
+
+        monkeypatch.setattr(correlation, "sample_exact", unexpected)
+        monkeypatch.setattr(correlation, "eigen_spectrum", unexpected)
+        code, out, err = run_cli([*argv, "--no-meta"], capsys)
+        assert code == 2
+        assert out == ""
+        assert flag in json.loads(err)["error"]
+
 
 class TestDeterminism:
     COMMANDS = [

@@ -26,8 +26,9 @@ from faschan.interpolation import (
     nmse,
     port_select,
     stationary_covariance,
+    trial_patterns,
 )
-from faschan.rng import complex_standard_normal, make_rng
+from faschan.rng import complex_standard_normal, derive, make_rng
 
 from conftest import burned_in_oracle, companion, kalman_smooth_joseph, make_consistent_model
 
@@ -435,13 +436,13 @@ class TestStackedReconstruction:
         def truth_sampler(seed, count):
             return sample_exact(spectrum_w2n100, seed, count)
 
-        def reference(select, min_m):
+        def reference(strategy, min_m):
             # the per-trial loop the grouped implementation replaced
             def qualifies(m):
                 truths = truth_sampler((7, m), trials)
                 ratios = np.empty(trials)
                 for t in range(trials):
-                    idx = select(m, (7, m, t))
+                    idx = port_select(strategy, n, m, (7, m, t))
                     obs = ObservationSet(indices=idx, values=truths[t, idx - 1], noise_var=0.0)
                     unobserved = np.setdiff1d(np.arange(1, n + 1), idx)
                     ratios[t] = nmse(truths[t], dense_mmse(cov, obs).means, unobserved)
@@ -457,42 +458,65 @@ class TestStackedReconstruction:
             return hi
 
         for strategy, min_m in (("uniform_endpoints", 2), ("random", 1)):
-            def select(m, seed, strategy=strategy):
-                return port_select(strategy, n, m, seed)
-
             got = empirical_min_observations(
-                eps, trials, 7, lambda obs: dense_mmse(cov, obs), truth_sampler, select, n, min_m=min_m
+                eps, trials, 7, lambda obs: dense_mmse(cov, obs), truth_sampler, strategy, n, min_m=min_m
             )
-            assert got == reference(select, min_m)
+            assert got == reference(strategy, min_m)
 
-    def test_empirical_min_observations_passes_each_trial_once(self, clarke_w2n100, spectrum_w2n100):
-        # odd trials draw random ports, even ones share the uniform grid, so
-        # every Monte Carlo round mixes one large group with groups of one
-        cov = build_covariance(clarke_w2n100)
-        n, trials = clarke_w2n100.N, 9
+    def test_empirical_min_observations_passes_each_trial_once(self):
+        # random ports on few ports repeat: the round at M = N - 1 has N
+        # patterns for 9 trials, so it mixes a large group with groups of one
+        model = ClarkeModel(W=1.0, N=6)
+        cov = build_covariance(model)
+        spectrum = eigen_spectrum(cov)
+        n, trials = model.N, 9
         rounds = []
 
         def truth_sampler(seed, count):
-            truths = sample_exact(spectrum_w2n100, seed, count)
-            rounds.append({"truths": truths, "ports": {}, "seen": []})
-            return rounds[-1]["truths"]
-
-        def select(m, seed):
-            idx = port_select("random" if seed[-1] % 2 else "uniform_endpoints", n, m, seed)
-            rounds[-1]["ports"][seed[-1]] = idx
-            return idx
+            truths = sample_exact(spectrum, seed, count)
+            rounds.append({"seed": seed, "truths": truths, "sizes": [], "seen": []})
+            return truths
 
         def estimator(obs):
             current = rounds[-1]
-            members = [t for t, idx in current["ports"].items() if np.array_equal(idx, obs.indices)]
+            members = [
+                t for t in range(trials)
+                if np.array_equal(port_select("random", n, obs.M, derive(current["seed"], t)), obs.indices)
+            ]
             np.testing.assert_array_equal(obs.values, current["truths"][members][:, obs.indices - 1])
+            current["sizes"].append(len(members))
             current["seen"].extend(members)
             return dense_mmse(cov, obs)
 
-        empirical_min_observations(1e-3, trials, 3, estimator, truth_sampler, select, n, min_m=2)
+        empirical_min_observations(1e-12, trials, 3, estimator, truth_sampler, "random", n)
         assert len(rounds) > 1
         for current in rounds:
             assert sorted(current["seen"]) == list(range(trials))
+        assert any(max(r["sizes"]) > 2 and min(r["sizes"]) == 1 for r in rounds)
+
+    @pytest.mark.parametrize("strategy", ["uniform_endpoints", "uniform_interior"])
+    def test_trial_patterns_uniform_is_one_group(self, strategy, monkeypatch):
+        def unexpected(*args, **kwargs):
+            raise AssertionError("a uniform grid needs no seed")
+
+        monkeypatch.setattr(interpolation, "make_rng", unexpected)
+        monkeypatch.setattr(interpolation, "derive", unexpected)
+        [(indices, members)] = trial_patterns(strategy, 100, 20, 250, (4, 1))
+        assert indices is port_select(strategy, 100, 20)
+        assert members == list(range(250))
+
+    def test_trial_patterns_random_groups_per_trial_selections(self):
+        n, m, trials, seed = 5, 4, 30, (8, 2)
+        expected = {}
+        for t in range(trials):
+            idx = port_select("random", n, m, derive(seed, t))
+            expected.setdefault(idx.tobytes(), (idx, []))[1].append(t)
+        groups = trial_patterns("random", n, m, trials, seed)
+        assert len(groups) == len(expected) > 1
+        for (indices, members), (want_idx, want_members) in zip(groups, expected.values()):
+            np.testing.assert_array_equal(indices, want_idx)
+            assert members == want_members
+        assert sorted(t for _, members in groups for t in members) == list(range(trials))
 
 
 class TestNmse:
@@ -536,6 +560,21 @@ class TestNmse:
         # only the summation order differs between a row and a vector
         np.testing.assert_allclose(ratios, expected, rtol=1e-13)
         assert isinstance(nmse(truth[0], estimate[0], subset), float)
+
+    @pytest.mark.parametrize("n", [50, 100, 200])
+    @pytest.mark.parametrize("shape", [(), (1,), (2,), (250,)])
+    def test_bits_match_the_index_first_formula(self, n, shape):
+        # subtracting before indexing must keep every bit of the formula that
+        # indexed both operands: same differences, same layout, same sums
+        rng = make_rng((58, n, len(shape) and shape[0]))
+        truth = complex_standard_normal(rng, (*shape, n))
+        estimate = truth + 0.05 * complex_standard_normal(rng, (*shape, n))
+        for strategy in ("uniform_endpoints", "uniform_interior", "random"):
+            for m in (2, n // 5, n - 1):
+                idx = np.setdiff1d(np.arange(n), port_select(strategy, n, m, (59, m)) - 1)
+                denom = np.sum(np.abs(truth[..., idx]) ** 2, axis=-1)
+                expected = np.sum(np.abs(estimate[..., idx] - truth[..., idx]) ** 2, axis=-1) / denom
+                np.testing.assert_array_equal(nmse(truth, estimate, idx + 1), expected)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
