@@ -35,7 +35,7 @@ from . import arfit, correlation, generator, interpolation, selection_gain
 from .errors import FitError, NumericalError, UnstableModelError
 from .rng import complex_standard_normal, derive, make_rng
 
-_STRATEGIES = ("random", "uniform_endpoints", "uniform_interior")
+_STRATEGIES = ("random", *interpolation.UNIFORM_STRATEGIES)
 
 
 class _Inline(Executor):

@@ -35,6 +35,9 @@ from .rng import derive, make_rng
 # requested noise variance of exactly 0 is floored at this multiple of r(0)
 NOISE_FLOOR_FACTOR = 1e-10
 
+# port_select strategies whose indices depend on (N, M) alone, not on a seed
+UNIFORM_STRATEGIES = ("uniform_endpoints", "uniform_interior")
+
 
 @dataclass(frozen=True)
 class ObservationSet:
@@ -152,10 +155,14 @@ def dense_mmse(cov: ToeplitzCovariance, obs: ObservationSet) -> ReconstructionRe
             "raise the noise floor to regularize"
         )
     means = _rowwise(cross, solved[:, :t].T)
-    prior = np.diag(sigma).real
-    variances = np.maximum(prior - np.einsum("ij,ji->i", cross, solved[:, t:]).real, 0.0)
-    unobserved = np.setdiff1d(np.arange(n), idx)
-    nmse = float(np.sum(variances[unobserved]) / np.sum(prior[unobserved])) if unobserved.size else 0.0
+    variances = np.maximum(
+        np.diag(sigma).real - np.einsum("ij,ji->i", cross, solved[:, t:]).real, 0.0
+    )
+    unobserved = np.setdiff1d(np.arange(n), idx, assume_unique=False)
+    if unobserved.size == 0:
+        nmse = 0.0
+    else:
+        nmse = float(np.sum(variances[unobserved]) / np.sum(np.diag(sigma).real[unobserved]))
     return ReconstructionResult(
         means=means[0] if obs.values.ndim == 1 else means,
         posterior=(variances, nmse),
@@ -359,7 +366,7 @@ def port_select(strategy: str, N: int, M: int, seed=0) -> np.ndarray:
         raise ValueError(f"M must be in [1, N], got M={M}, N={N}")
     if strategy == "random":
         return np.sort(make_rng(seed).choice(N, size=M, replace=False) + 1)
-    if strategy in ("uniform_endpoints", "uniform_interior"):
+    if strategy in UNIFORM_STRATEGIES:
         return _uniform_grid(strategy, int(N), int(M))
     raise ValueError(f"unknown strategy {strategy!r}")
 
@@ -397,18 +404,20 @@ def max_gap(indices, N: int) -> int:
     return max(interior, int(idx[0] - 1), int(N - idx[-1]))
 
 
-def trial_patterns(strategy: str, N: int, M: int, trials: int, seed) -> list:
+def trial_patterns(strategy, N: int, M: int, trials: int, seed) -> list:
     """Each distinct (indices, member trials) pair of a round, in first-seen order.
 
-    Trial t observes ``port_select(strategy, N, M, derive(seed, t))``, and a
-    group's trials can share one (T, M) reconstruction call.  A ``uniform_*``
-    grid needs no seed: one group of every trial, on the shared read-only grid.
+    Trial t observes ``port_select(strategy, N, M, derive(seed, t))``, or
+    ``strategy(M, derive(seed, t))`` for a callable, and a group's trials can
+    share one (T, M) reconstruction call.  A ``UNIFORM_STRATEGIES`` grid needs
+    no seed: one group of every trial, on the shared read-only grid.
     """
-    if strategy != "random":
+    if strategy in UNIFORM_STRATEGIES:
         return [(port_select(strategy, N, M), list(range(trials)))]
+    select = strategy if callable(strategy) else functools.partial(port_select, strategy, N)
     groups: dict[bytes, tuple[np.ndarray, list[int]]] = {}
     for trial in range(trials):
-        indices = port_select(strategy, N, M, derive(seed, trial))
+        indices = np.asarray(select(M, derive(seed, trial)))
         groups.setdefault(indices.tobytes(), (indices, []))[1].append(trial)
     return list(groups.values())
 
@@ -419,18 +428,19 @@ def empirical_min_observations(
     seed,
     estimator,
     truth_sampler,
-    strategy: str,
+    strategy,
     N: int,
     min_m: int = 1,
 ) -> int:
     """Smallest M whose Monte-Carlo mean NMSE reaches epsilon, by bisection.
 
     ``estimator(obs) -> ReconstructionResult`` and ``truth_sampler(seed,
-    count) -> (count, N) channels`` come from the caller; the round at M reads
-    truths and ports (``trial_patterns``) from seed ``derive(seed, M)``.  M
-    qualifies when its mean NMSE is at most epsilon plus three standard
-    errors.  The estimator runs once per port pattern, on stacked values, and
-    the ratios keep the trial order.
+    count) -> (count, N) channels`` come from the caller, and ``strategy`` is
+    a ``port_select`` name or a ``select(M, trial_seed) -> indices`` callable;
+    the round at M reads truths and ports (``trial_patterns``) from seed
+    ``derive(seed, M)``.  M qualifies when its mean NMSE is at most epsilon
+    plus three standard errors.  The estimator runs once per port pattern, on
+    stacked values, and the ratios keep the trial order.
     """
 
     def qualifies(m: int) -> bool:

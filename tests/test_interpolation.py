@@ -518,6 +518,20 @@ class TestStackedReconstruction:
             assert members == want_members
         assert sorted(t for _, members in groups for t in members) == list(range(trials))
 
+    def test_trial_patterns_callable_matches_the_named_strategy(self):
+        def select(m, trial_seed):
+            return list(port_select("random", 5, m, trial_seed))
+
+        by_name = trial_patterns("random", 5, 4, 30, (8, 2))
+        by_callable = trial_patterns(select, 5, 4, 30, (8, 2))
+        assert [members for _, members in by_callable] == [members for _, members in by_name]
+        for (got, _), (want, _) in zip(by_callable, by_name):
+            np.testing.assert_array_equal(got, want)
+
+    def test_trial_patterns_unknown_strategy_raises(self):
+        with pytest.raises(ValueError, match="unknown strategy"):
+            trial_patterns("uniform_everywhere", 100, 20, 3, 0)
+
 
 class TestNmse:
     def test_exact_estimate(self):
