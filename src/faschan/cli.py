@@ -135,6 +135,7 @@ def _checked(convert: Callable[[str], object], rule: str, holds: Callable[[objec
 
 _count = _checked(int, "must be >= 1", lambda value: value >= 1)
 _fraction = _checked(float, "each entry must be in [0, 1]", lambda value: 0.0 <= value <= 1.0)
+_ratio = _checked(float, "must be in (0, 1]", lambda value: 0.0 < value <= 1.0)
 
 
 def _strategy_list(text: str) -> list[str]:
@@ -190,8 +191,8 @@ _PARAMS = (
     _Param("t_grid", _linear_grid, None, "linear grid start:stop:count", ("cdf",)),
     _Param("t_quantile_grid", _count, "40",
            "grid size drawn from pilot exact-sample quantiles, without --t-grid", ("cdf",)),
-    _Param("M", int, None, "observed port count", ("interpolate", "bench")),
-    _Param("ratio", float, None, "observation fraction M/N, without --M", ("bench",)),
+    _Param("M", _count, None, "observed port count", ("interpolate", "bench")),
+    _Param("ratio", _ratio, None, "observation fraction M/N, without --M", ("bench",)),
     _Param("strategy", _strategy, None, "port selection strategy", ("interpolate",)),
     _Param("strategy", _strategy, "uniform_endpoints", "port selection strategy", ("bound",)),
     _Param("strategies", _strategy_list, ",".join(_STRATEGIES), "comma list of strategies", ("bench",)),
@@ -429,8 +430,8 @@ def cmd_cdf(args) -> int:
 def cmd_interpolate(args) -> int:
     _require(args, ["W", "N", "M", "strategy"])
     model = _clarke(args)
-    if not 1 <= args.M <= model.N:
-        raise ValueError(f"M must be in [1, N], got {args.M}")
+    if args.M > model.N:
+        raise ValueError(f"M={args.M} exceeds N={model.N}")
     fitted, _ = _fit_model(args, model)
     seed = args.seed
     cov, oracle, kalman = _estimators(model, fitted)

@@ -28,10 +28,10 @@ is reduced over two columns, a zeroed one beside it, since numpy sums a
 one-column stack pairwise.  The chunk is sized so that a step's working
 set stays in L2: at 8192 rows it spills, and a step costs about 1.8x as
 much per row (p = 20).
-The draw keys a block of row streams in one vectorised pass
-(``rng.philox_keys``) and re-keys one Philox per row, so row i reads the
-normals of ``make_rng(derive(seed, i))`` bit for bit without building a
-SeedSequence and a Generator for every row.
+The draw keys one Philox per row from the row's seed through numpy's own
+SeedSequence (``rng._philox_key``), so row i reads the normals of
+``make_rng(derive(seed, i))`` bit for bit without building a Philox and a
+Generator for every row.
 ``simulate_max_gains`` takes several models of one row length and drives
 them all with the same normals (common random numbers), drawing each row's
 normals once per call instead of once per model, and keeps only each
@@ -60,7 +60,7 @@ from scipy.linalg import blas, lapack
 from .arfit import ArpModel, check_stability
 from .errors import UnstableModelError
 from .interpolation import _rowwise
-from .rng import SQRT_HALF, complex_standard_normal, make_rng, philox_keys
+from .rng import SQRT_HALF, _philox_key, complex_standard_normal, derive, make_rng
 from .stats import max_gain
 
 # rows simulated per chunk: a recursion step touches the coefficient block,
@@ -156,22 +156,22 @@ class _Work:
         return in_time[:n, :rows].T
 
 
-def _draw(block: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """Fill ``block``'s rows with the normals of the streams keyed by ``keys`` and return it.
+def _draw(block: np.ndarray, seeds: "Sequence[tuple[int, ...]]") -> np.ndarray:
+    """Fill ``block``'s rows with the normals of the streams of ``seeds`` and return it.
 
-    Row j gets ``complex_standard_normal(make_rng(seed_j), L)`` bit for bit,
-    keys[j] the stream's ``philox_keys``.  One Philox, built for this call
-    alone so that no two threads share it, is re-keyed per row and draws the
-    row's L real and then L imaginary parts into one float row, which is
-    scaled into the complex row as ``complex_standard_normal`` scales it.
+    Row j gets ``complex_standard_normal(make_rng(seeds[j]), L)`` bit for
+    bit.  One Philox, built for this call alone so that no two threads share
+    it, is re-keyed per row with ``make_rng``'s key and draws the row's L
+    real and then L imaginary parts into one float row, which is scaled into
+    the complex row as ``complex_standard_normal`` scales it.
     """
     length = block.shape[1]
     bits = np.random.Philox(0)
     draw = np.random.Generator(bits).standard_normal
     state = bits.state  # counter 0, buffer empty: a freshly keyed stream
     parts = np.empty(2 * length)
-    for row, key in zip(block, keys):
-        state["state"]["key"] = key
+    for row, seed in zip(block, seeds):
+        state["state"]["key"] = _philox_key(seed)
         bits.state = state
         draw(out=parts)
         np.multiply(parts[:length], SQRT_HALF, out=row.real)
@@ -183,16 +183,15 @@ def _simulate(
     models: "Sequence[ArpModel]",
     config: SimulationConfig,
     count: int,
-    row_keys: Callable[[int, int], np.ndarray],
+    row_seeds: Callable[[int, int], "Sequence[tuple[int, ...]]"],
     keep: Callable[[int, int, np.ndarray], None],
     workers: int = 1,
 ) -> None:
     """Drive every model with the same rows; keep(m, start, block) takes each chunk.
 
     Row j draws max(N, p) standard normals from its stream, once per call;
-    row_keys(first, rows) gives the Philox keys of rows first .. first +
-    rows - 1, hashed one block at a time.  A lone model draws them straight
-    into its scratch rows;
+    row_seeds(first, rows) gives the seeds of rows first .. first + rows - 1.
+    A lone model draws them straight into its scratch rows;
     several models share one (rows, max(N, p)) block per chunk, drawn first
     and read by each model's drive.  ``block`` holds model m's rows start ..
     start + len(block) - 1, a view of a buffer the next chunk overwrites.
@@ -213,9 +212,9 @@ def _simulate(
             rows = min(width, count - start)
             if shared is None:
                 def normals(first, scratch):
-                    return _draw(scratch, row_keys(start + first, scratch.shape[0]))
+                    return _draw(scratch, row_seeds(start + first, scratch.shape[0]))
             else:
-                chunk = _draw(shared[:rows], row_keys(start, rows))
+                chunk = _draw(shared[:rows], row_seeds(start, rows))
 
                 def normals(first, scratch):
                     return chunk[first : first + scratch.shape[0]]
@@ -237,31 +236,33 @@ def _check(model: ArpModel, count: int) -> None:
         raise UnstableModelError("refusing to simulate an unstable model")
 
 
-def _derived_keys(seed) -> Callable[[int, int], np.ndarray]:
-    """``row_keys`` of the derived seeds (seed, i), one row per i."""
-    return lambda first, rows: philox_keys(seed, np.arange(first, first + rows))
+def _derived_seeds(seed) -> Callable[[int, int], "Sequence[tuple[int, ...]]"]:
+    """``row_seeds`` of the derived seeds (seed, i), one row per i."""
+    prefix = derive(seed)
+    return lambda first, rows: [prefix + (i,) for i in range(first, first + rows)]
 
 
-def _simulate_rows(model: ArpModel, config: SimulationConfig, count: int, row_keys) -> np.ndarray:
-    """(count, N) realizations; rows are driven by the streams ``row_keys`` names."""
+def _simulate_rows(model: ArpModel, config: SimulationConfig, count: int, row_seeds) -> np.ndarray:
+    """(count, N) realizations; rows are driven by the streams of ``row_seeds``."""
     _check(model, count)
     out = np.empty((count, config.N), dtype=np.complex128)
 
     def keep(_, start, block):
         out[start : start + block.shape[0]] = block
 
-    _simulate([model], config, count, row_keys, keep)
+    _simulate([model], config, count, row_seeds, keep)
     return out
 
 
 def simulate(model: ArpModel, config: SimulationConfig) -> np.ndarray:
     """One length-N realization: ports B+1 .. B+N of the recursion from zeros, in law."""
-    return _simulate_rows(model, config, 1, lambda first, rows: philox_keys(config.seed))[0]
+    seed = derive(config.seed)
+    return _simulate_rows(model, config, 1, lambda first, rows: [seed])[0]
 
 
 def simulate_batch(model: ArpModel, config: SimulationConfig, count: int) -> np.ndarray:
     """(count, N) independent realizations; row i uses the derived seed (seed, i)."""
-    return _simulate_rows(model, config, count, _derived_keys(config.seed))
+    return _simulate_rows(model, config, count, _derived_seeds(config.seed))
 
 
 def simulate_max_gains(
@@ -293,7 +294,7 @@ def simulate_max_gains(
             rows = block[first : first + _DRAW_ROWS]
             gains[m, start + first : start + first + rows.shape[0]] = max_gain(rows)
 
-    _simulate(models, config, count, _derived_keys(config.seed), keep, workers)
+    _simulate(models, config, count, _derived_seeds(config.seed), keep, workers)
     return gains
 
 

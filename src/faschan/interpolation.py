@@ -89,7 +89,6 @@ class ReconstructionResult:
 
     means: np.ndarray
     posterior: "tuple[np.ndarray, float] | Callable[[], tuple[np.ndarray, float]]" = field(repr=False)
-    method_tag: str
 
     @property
     def variances(self) -> np.ndarray:
@@ -166,7 +165,6 @@ def dense_mmse(cov: ToeplitzCovariance, obs: ObservationSet) -> ReconstructionRe
     return ReconstructionResult(
         means=means[0] if obs.values.ndim == 1 else means,
         posterior=(variances, nmse),
-        method_tag="oracle",
     )
 
 
@@ -285,7 +283,6 @@ def kalman_smooth(model: ArpModel, obs: ObservationSet, N: int) -> Reconstructio
     return ReconstructionResult(
         means=means_out[0] if obs.values.ndim == 1 else means_out,
         posterior=posterior,
-        method_tag="kalman",
     )
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from faschan import correlation, generator
+from faschan import arfit, correlation, generator
 from faschan.arfit import fit_clarke_model
 from faschan.cli import main, max_workers
 from faschan.correlation import CHUNK_ROWS, ClarkeModel, build_covariance, eigen_spectrum, sample_exact
@@ -438,16 +438,25 @@ class TestBound:
             (["bound", "--W", "2", "--N", "100", "--eps", "-0.1"], "--eps"),
             (["bound", "--W", "2", "--N", "100", "--eps", "0.1", "--trials", "0"], "--trials"),
             (["bench", "--W", "2", "--N", "50", "--ratio", "0.2", "--p", "4", "--trials", "0"], "--trials"),
+            (["bench", "--W", "2", "--N", "20", "--p", "3", "--ratio", "-1", "--trials", "2",
+              "--strategies", "uniform_endpoints"], "--ratio"),
+            (["bench", "--W", "2", "--N", "20", "--p", "3", "--ratio", "0"], "--ratio"),
+            (["bench", "--W", "2", "--N", "20", "--p", "3", "--ratio", "1.5"], "--ratio"),
+            (["bench", "--W", "2", "--N", "20", "--p", "3", "--M", "0"], "--M"),
+            (["interpolate", "--W", "2", "--N", "20", "--p", "3", "--M", "-2",
+              "--strategy", "uniform_endpoints"], "--M"),
         ],
     )
     def test_bad_eps_or_trials_rejected_before_sampling(self, argv, flag, monkeypatch, capsys):
-        # a target outside [0, 1] or an empty Monte Carlo round fails before
-        # the spectrum and the first round's truths are drawn
+        # a target outside [0, 1], an empty Monte Carlo round, an observation
+        # fraction outside (0, 1] or fewer than one observed port fails
+        # before any fit, spectrum or draw
         def unexpected(*args, **kwargs):
             raise AssertionError("sampled before the flags were checked")
 
         monkeypatch.setattr(correlation, "sample_exact", unexpected)
         monkeypatch.setattr(correlation, "eigen_spectrum", unexpected)
+        monkeypatch.setattr(arfit, "fit_clarke_model", unexpected)
         code, out, err = run_cli([*argv, "--no-meta"], capsys)
         assert code == 2
         assert out == ""

@@ -85,15 +85,18 @@ WHITE = ArpModel(alpha=np.array([0.0 + 0j]), sigma_eps2=1.0, p=1, source_lags=np
 
 
 class TestRowStreams:
-    # the rows are keyed in one pass per block; each must still read the
-    # normals of its own make_rng stream
+    # each row re-keys one Philox; it must still read the normals of its own
+    # make_rng stream
 
-    @pytest.mark.parametrize("seed", [5, (11, 1), (3, 2**33), (1, 2, 3, 4, 5)], ids=repr)
+    @pytest.mark.parametrize(
+        "seed", [5, (11, 1), (3, 2**33), (1, 2, 3, 4, 5), (9, 2**64 + 5, 0, 2**40), tuple(range(11))],
+        ids=repr,
+    )
     def test_simulate_reads_the_stream_of_the_seed_itself(self, seed):
         got = simulate(WHITE, SimulationConfig(N=9, B=4, seed=seed))
         np.testing.assert_array_equal(got, complex_standard_normal(make_rng(seed), 9))
 
-    @pytest.mark.parametrize("seed", [6, (2**32 + 1, 7)], ids=repr)
+    @pytest.mark.parametrize("seed", [6, (2**32 + 1, 7), (9, 2**64 + 5, 0, 2**40), tuple(range(11))], ids=repr)
     def test_batch_rows_read_their_derived_streams(self, seed):
         config = SimulationConfig(N=6, B=3, seed=seed)
         count = _CHUNK_ROWS + 3

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from faschan.rng import complex_standard_normal, derive, make_rng, philox_keys
+from faschan.rng import _philox_key, complex_standard_normal, derive, make_rng
 
 
-def seed_sequence_key(entropy) -> np.ndarray:
-    return np.random.Philox(np.random.SeedSequence(entropy)).state["state"]["key"]
+def make_rng_key(seed) -> np.ndarray:
+    return make_rng(seed).bit_generator.state["state"]["key"]
 
 
 SEEDS = [
@@ -24,28 +24,27 @@ SEEDS = [
 
 
 class TestPhiloxKeys:
-    @pytest.mark.parametrize("seed", SEEDS, ids=repr)
-    def test_seed_itself_matches_seed_sequence(self, seed):
-        entropy = seed if isinstance(seed, tuple) else (seed,)
-        keys = philox_keys(seed)
-        assert keys.shape == (1, 2) and keys.dtype == np.uint64
-        np.testing.assert_array_equal(keys[0], seed_sequence_key(entropy))
-        np.testing.assert_array_equal(keys[0], make_rng(seed).bit_generator.state["state"]["key"])
+    # the generator re-keys one Philox per row with _philox_key; each key
+    # must be the key of that row's make_rng stream
 
     @pytest.mark.parametrize("seed", SEEDS, ids=repr)
-    def test_derived_rows_match_seed_sequence(self, seed):
-        rows = np.array([0, 1, 255, 256, 8191, 8192, 2**32 - 1, 2**32, 2**40 + 7])
-        keys = philox_keys(seed, rows)
-        assert keys.shape == (rows.size, 2)
-        for key, row in zip(keys, rows):
-            np.testing.assert_array_equal(key, seed_sequence_key(derive(seed, int(row))))
+    def test_seed_itself_matches_make_rng(self, seed):
+        key = _philox_key(derive(seed))
+        assert key.shape == (2,) and key.dtype == np.uint64
+        np.testing.assert_array_equal(key, make_rng_key(seed))
 
-    def test_empty_and_negative_rows(self):
-        assert philox_keys(5, np.arange(0)).shape == (0, 2)
+    @pytest.mark.parametrize("seed", SEEDS, ids=repr)
+    def test_derived_rows_match_make_rng(self, seed):
+        # row indices of 2**32 and above add a word to the entropy
+        for row in (0, 1, 255, 256, 8191, 8192, 2**32 - 1, 2**32, 2**40 + 7):
+            np.testing.assert_array_equal(_philox_key(derive(seed, row)), make_rng_key(derive(seed, row)))
+
+    def test_negative_components_rejected(self):
+        # the generator's row seeds come from derive, which checks them once
         with pytest.raises(ValueError):
-            philox_keys(5, [3, -1])
+            derive((1, -2))
         with pytest.raises(ValueError):
-            philox_keys((1, -2))
+            make_rng((1, -2))
 
 
 class TestComplexStandardNormal:
