@@ -15,7 +15,6 @@ from .arfit import (
     fit_clarke_model,
     select_order,
     unit_noise_gain,
-    yule_walker_fit,
 )
 from .correlation import (
     ClarkeModel,
@@ -27,7 +26,7 @@ from .correlation import (
     sample_exact,
 )
 from .errors import FitError, NumericalError, UnstableModelError
-from .generator import SimulationConfig, simulate, simulate_batch
+from .generator import SimulationConfig, simulate_batch
 from .interpolation import (
     ObservationSet,
     ReconstructionResult,
@@ -38,12 +37,10 @@ from .interpolation import (
     min_observations_bound,
     nmse,
     port_select,
-    stationary_covariance,
     trial_patterns,
 )
 from .selection_gain import (
     CdfCurve,
-    ParticleEnsemble,
     empirical_cdf_max_gain,
     smc_cdf,
     systematic_resample,

@@ -5,9 +5,7 @@ r(l) = sum_i a_i r(l-i) in least squares over the target lags l = 1..2p
 (capped at N-1), then sets the innovation variance so that the stationary
 per-port variance is r(0) exactly: sigma^2 = r(0) / ``unit_noise_gain``(a).
 A model is accepted only if every root of 1 - sum_i a_i z^-i lies inside the
-unit circle with margin.  ``yule_walker_fit`` solves the classic normal
-equations on r(0..p), with variance r(0) - a^H r; no command uses it, and
-the tests build their toy models with it.
+unit circle with margin.
 
 The fitted process's own autocorrelation is the inverse transform of its
 power spectrum sigma^2 / |A(e^{jw})|^2, evaluated on the same grid that
@@ -32,7 +30,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import toeplitz
 
 from .correlation import (
     ClarkeModel,
@@ -49,8 +46,6 @@ from .stats import ks_distance
 DELTA_STAB = 1e-6
 # candidate orders within this of the best KS distance tie-break to the smallest p
 TIE_TOL = 1e-4
-# normal equations must be consistent to this relative residual
-_RESID_LIMIT = 1e-8
 # lags matched per model order by the aperture-window fit
 _WINDOW_FACTOR = 2
 # unit_noise_gain grid: at least this many e-folds of the slowest root's
@@ -102,8 +97,9 @@ class ArpModel:
         """Upper-triangular F, F^H F the stationary covariance of [g_k, ..., g_{k-p+1}].
 
         The ``burned_in_factor`` of ceil(14 / margin) steps, whose zero-start
-        transient is below e^-28, so F^H F is ``stationary_covariance`` to
-        round-off.  Computed once per model, read-only.
+        transient is below e^-28, so F^H F is the Toeplitz matrix of the
+        model's own lags r(j - i) (``arp_induced_covariance``) to round-off.
+        Computed once per model, read-only.
         """
         from .generator import burned_in_factor
 
@@ -130,38 +126,6 @@ class OrderSelectionResult:
     distances: dict[int, float]
     reference_sample_count: int
     unstable_orders: tuple[int, ...] = ()
-
-
-def yule_walker_fit(lags) -> ArpModel:
-    """Fit AR(p) coefficients from target lags r(0..p).
-
-    Solves R a = r as a linear system where R is the p x p Hermitian
-    Toeplitz matrix of lags 0..p-1 and r stacks lags 1..p.  Oversampled
-    apertures make R numerically rank-deficient well before p reaches the
-    orders of interest, so the solve is a minimum-norm least-squares one;
-    the system is rejected only if it is actually inconsistent.  The
-    innovation variance is the matching residual r(0) - a^H r.
-    """
-    lags = np.asarray(lags, dtype=np.complex128).reshape(-1)
-    p = lags.size - 1
-    if p < 1:
-        raise ValueError("need at least lags r(0) and r(1)")
-    r0 = lags[0]
-    if abs(r0.imag) > 1e-12 * max(abs(r0.real), 1.0) or not r0.real > 0:
-        raise ValueError(f"r(0) must be real and positive, got {r0}")
-    # row l, column i holds r(l-i); negative lags are the conjugates
-    big_r = toeplitz(lags[:p], np.conj(lags[:p]))
-    rhs = lags[1:]
-    alpha = np.linalg.lstsq(big_r, rhs, rcond=None)[0]
-    scale = max(np.linalg.norm(rhs), r0.real)
-    resid = np.linalg.norm(big_r @ alpha - rhs) / scale
-    if not resid <= _RESID_LIMIT:
-        raise FitError(
-            f"normal equations inconsistent at order p={p} (relative residual {resid:.2e}); "
-            "the lags do not extend to a PSD sequence"
-        )
-    sigma_eps2 = float((r0 - np.vdot(alpha, rhs)).real)
-    return ArpModel(alpha=alpha, sigma_eps2=max(sigma_eps2, 0.0), p=p, source_lags=lags)
 
 
 def _root_moduli(alpha: np.ndarray) -> np.ndarray:

@@ -138,11 +138,22 @@ _fraction = _checked(float, "each entry must be in [0, 1]", lambda value: 0.0 <=
 _ratio = _checked(float, "must be in (0, 1]", lambda value: 0.0 < value <= 1.0)
 
 
-def _strategy_list(text: str) -> list[str]:
-    strategies = [_strategy(part.strip()) for part in text.split(",")]
-    if len(set(strategies)) != len(strategies):
-        raise ValueError("names a strategy twice")
-    return strategies
+def _distinct(convert: Callable[[str], list]) -> Callable[[str], list]:
+    """``convert``, refusing a list that names an entry twice: each entry gets
+    its own rows, and an entry of ``bench --N`` or ``cdf --p`` also keys
+    their seeds, so a repeat there would print the same rows again."""
+
+    def check(text: str) -> list:
+        values = convert(text)
+        for i, value in enumerate(values):
+            if value in values[:i]:
+                raise ValueError(f"names {value} twice")
+        return values
+
+    return check
+
+
+_strategy_list = _distinct(lambda text: [_strategy(part.strip()) for part in text.split(",")])
 
 
 def _linear_grid(text: str) -> np.ndarray:
@@ -179,9 +190,9 @@ _SELECTING = ("fit", "select-order", "interpolate", "bound")
 _PARAMS = (
     _Param("W", float, None, "aperture length in wavelengths", _ALL),
     _Param("N", int, None, "port count", tuple(c for c in _ALL if c != "bench")),
-    _Param("N", _comma_list(int), None, "comma list of port counts", ("bench",)),
+    _Param("N", _distinct(_comma_list(int)), None, "comma list of port counts", ("bench",)),
     _Param("p", int, None, "surrogate order", ("fit", "generate", "interpolate", "bench", "bound")),
-    _Param("p", _comma_list(int), None, "order or comma list of orders", ("cdf",)),
+    _Param("p", _distinct(_comma_list(int)), None, "order or comma list of orders", ("cdf",)),
     _Param("p_max", int, None, "select the order up to this one", _SELECTING),
     _Param("mc", int, "30000", "Monte-Carlo samples per CDF", (*_SELECTING, "cdf")),
     _Param("burn", int, "5", "burn-in length as a multiple of N", (*_SELECTING, "generate", "cdf")),
@@ -244,6 +255,18 @@ def _require(args, names):
     for name in names:
         if getattr(args, name) is None:
             raise ValueError(f"missing required parameter --{name.replace('_', '-')}")
+
+
+def _least_observed(strategies) -> int:
+    """The smallest M that every strategy accepts: uniform_endpoints pins both ends."""
+    return 2 if "uniform_endpoints" in strategies else 1
+
+
+def _check_observed(flag: str, m: int, n: int, strategies) -> None:
+    """Refuse an observed count ``m`` at ``n`` ports that a strategy would, before any work."""
+    least = _least_observed(strategies)
+    if not least <= m <= n:
+        raise ValueError(f"{flag} gives M={m} at N={n}, outside [{least}, {n}] for {', '.join(strategies)}")
 
 
 # ---------------------------------------------------------------------------
@@ -430,8 +453,7 @@ def cmd_cdf(args) -> int:
 def cmd_interpolate(args) -> int:
     _require(args, ["W", "N", "M", "strategy"])
     model = _clarke(args)
-    if args.M > model.N:
-        raise ValueError(f"M={args.M} exceeds N={model.N}")
+    _check_observed("--M", args.M, model.N, [args.strategy])
     fitted, _ = _fit_model(args, model)
     seed = args.seed
     cov, oracle, kalman = _estimators(model, fitted)
@@ -463,12 +485,13 @@ def cmd_bench(args) -> int:
     trials = args.trials
     sigma_v2 = args.sigma_v2
     seed = args.seed
+    flag = "--M" if args.M is not None else "--ratio"
+    observed = [args.M if args.M is not None else round(args.ratio * n) for n in args.N]
+    for n, m_obs in zip(args.N, observed):
+        _check_observed(flag, m_obs, n, args.strategies)
     rows = []
-    for n in args.N:
+    for n, m_obs in zip(args.N, observed):
         model = correlation.ClarkeModel(W=args.W, N=n, sigma2=args.sigma2)
-        m_obs = args.M if args.M is not None else max(2, round(args.ratio * n))
-        if m_obs > n:
-            raise ValueError(f"M={m_obs} exceeds N={n}")
         cov, oracle, kalman = _estimators(model, arfit.fit_clarke_model(model, args.p))
         truths = correlation.sample_exact(correlation.eigen_spectrum(cov), derive(seed, n), trials)
         for s_idx, strategy in enumerate(args.strategies):
@@ -515,7 +538,7 @@ def cmd_bound(args) -> int:
     cov, oracle, kalman = _estimators(model, fitted)
     spectrum = correlation.eigen_spectrum(cov)
     truth_sampler = functools.partial(correlation.sample_exact, spectrum)
-    min_m = 2 if args.strategy == "uniform_endpoints" else 1
+    min_m = _least_observed([args.strategy])
 
     def empirical(eps, estimator, trial_seed):
         return interpolation.empirical_min_observations(

@@ -1,14 +1,15 @@
 """Stationary AR(p) channel realizations, started from the exact burned-in law.
 
 A realization is ports B+1 .. B+N of the recursion run from zeros, B the
-burn-in length, but nothing before port B+1 is simulated.  Each row draws
-one block of max(N, p) standard complex normals from its own derived seed.
+burn-in length, but nothing before port B+1 is simulated.  Row i of a
+batch draws one block of max(N, p) standard complex normals from the
+derived seed (seed, i).
 The first p, times the factor of the burned-in law (``burned_in_factor``),
 give ports B+1 .. B+p at once; the recursion then runs the remaining N - p
 ports with the rest of the block as innovations.  Since that state is
 independent of the later innovations, every row follows the law of the
 B + N steps from zeros exactly, for every B >= 0, and any single row is
-reproducible in isolation from its seed.
+reproducible in isolation from its derived seed.
 
 ``burned_in_states`` draws the same lifted state for many rows from one
 seed (the particle evaluator's starting swarm).  The factor takes the
@@ -156,22 +157,22 @@ class _Work:
         return in_time[:n, :rows].T
 
 
-def _draw(block: np.ndarray, seeds: "Sequence[tuple[int, ...]]") -> np.ndarray:
-    """Fill ``block``'s rows with the normals of the streams of ``seeds`` and return it.
+def _draw(block: np.ndarray, seed: "tuple[int, ...]", first: int) -> np.ndarray:
+    """Fill ``block``'s rows with the normals of rows first, first + 1, ... and return it.
 
-    Row j gets ``complex_standard_normal(make_rng(seeds[j]), L)`` bit for
-    bit.  One Philox, built for this call alone so that no two threads share
-    it, is re-keyed per row with ``make_rng``'s key and draws the row's L
-    real and then L imaginary parts into one float row, which is scaled into
-    the complex row as ``complex_standard_normal`` scales it.
+    Row j gets ``complex_standard_normal(make_rng(seed + (first + j,)), L)``
+    bit for bit.  One Philox, built for this call alone so that no two
+    threads share it, is re-keyed per row with ``make_rng``'s key and draws
+    the row's L real and then L imaginary parts into one float row, which is
+    scaled into the complex row as ``complex_standard_normal`` scales it.
     """
     length = block.shape[1]
     bits = np.random.Philox(0)
     draw = np.random.Generator(bits).standard_normal
     state = bits.state  # counter 0, buffer empty: a freshly keyed stream
     parts = np.empty(2 * length)
-    for row, seed in zip(block, seeds):
-        state["state"]["key"] = _philox_key(seed)
+    for i, row in enumerate(block, first):
+        state["state"]["key"] = _philox_key(seed + (i,))
         bits.state = state
         draw(out=parts)
         np.multiply(parts[:length], SQRT_HALF, out=row.real)
@@ -183,21 +184,20 @@ def _simulate(
     models: "Sequence[ArpModel]",
     config: SimulationConfig,
     count: int,
-    row_seeds: Callable[[int, int], "Sequence[tuple[int, ...]]"],
     keep: Callable[[int, int, np.ndarray], None],
     workers: int = 1,
 ) -> None:
     """Drive every model with the same rows; keep(m, start, block) takes each chunk.
 
-    Row j draws max(N, p) standard normals from its stream, once per call;
-    row_seeds(first, rows) gives the seeds of rows first .. first + rows - 1.
-    A lone model draws them straight into its scratch rows;
+    Row i draws max(N, p) standard normals from the derived seed (seed, i),
+    once per call.  A lone model draws them straight into its scratch rows;
     several models share one (rows, max(N, p)) block per chunk, drawn first
     and read by each model's drive.  ``block`` holds model m's rows start ..
     start + len(block) - 1, a view of a buffer the next chunk overwrites.
     With workers > 1 the models of a chunk run on that many threads, each
     with its own buffers; every model still sees the same normals.
     """
+    seed = derive(config.seed)
     length = max(config.N, models[0].p)
     width = min(_CHUNK_ROWS, count)
     # F^H e is [g_{B+p}, ..., g_{B+1}]; its rows reversed give ports 1..p in order
@@ -212,9 +212,9 @@ def _simulate(
             rows = min(width, count - start)
             if shared is None:
                 def normals(first, scratch):
-                    return _draw(scratch, row_seeds(start + first, scratch.shape[0]))
+                    return _draw(scratch, seed, start + first)
             else:
-                chunk = _draw(shared[:rows], row_seeds(start, rows))
+                chunk = _draw(shared[:rows], seed, start)
 
                 def normals(first, scratch):
                     return chunk[first : first + scratch.shape[0]]
@@ -236,33 +236,16 @@ def _check(model: ArpModel, count: int) -> None:
         raise UnstableModelError("refusing to simulate an unstable model")
 
 
-def _derived_seeds(seed) -> Callable[[int, int], "Sequence[tuple[int, ...]]"]:
-    """``row_seeds`` of the derived seeds (seed, i), one row per i."""
-    prefix = derive(seed)
-    return lambda first, rows: [prefix + (i,) for i in range(first, first + rows)]
-
-
-def _simulate_rows(model: ArpModel, config: SimulationConfig, count: int, row_seeds) -> np.ndarray:
-    """(count, N) realizations; rows are driven by the streams of ``row_seeds``."""
+def simulate_batch(model: ArpModel, config: SimulationConfig, count: int) -> np.ndarray:
+    """(count, N) independent realizations; row i uses the derived seed (seed, i)."""
     _check(model, count)
     out = np.empty((count, config.N), dtype=np.complex128)
 
     def keep(_, start, block):
         out[start : start + block.shape[0]] = block
 
-    _simulate([model], config, count, row_seeds, keep)
+    _simulate([model], config, count, keep)
     return out
-
-
-def simulate(model: ArpModel, config: SimulationConfig) -> np.ndarray:
-    """One length-N realization: ports B+1 .. B+N of the recursion from zeros, in law."""
-    seed = derive(config.seed)
-    return _simulate_rows(model, config, 1, lambda first, rows: [seed])[0]
-
-
-def simulate_batch(model: ArpModel, config: SimulationConfig, count: int) -> np.ndarray:
-    """(count, N) independent realizations; row i uses the derived seed (seed, i)."""
-    return _simulate_rows(model, config, count, _derived_seeds(config.seed))
 
 
 def simulate_max_gains(
@@ -294,7 +277,7 @@ def simulate_max_gains(
             rows = block[first : first + _DRAW_ROWS]
             gains[m, start + first : start + first + rows.shape[0]] = max_gain(rows)
 
-    _simulate(models, config, count, _derived_seeds(config.seed), keep, workers)
+    _simulate(models, config, count, keep, workers)
     return gains
 
 
@@ -302,7 +285,7 @@ def burned_in_factor(model: ArpModel, B: int) -> np.ndarray:
     """Upper-triangular F with F^H F the covariance of the burned-in lifted state.
 
     The state is [g_{B+p}, ..., g_{B+1}] (newest first) of the recursion run
-    B + p steps from zeros: the kept block of ``simulate`` at N = p,
+    B + p steps from zeros: a ``simulate_batch`` row at N = p,
     reversed.  It is linear in the innovations, g_{B+p-a} = sum_m
     h_{m-a} eps_{B+p-m} with h the impulse response, so its law is
     CN(0, sigma_eps2 H H^H) where row a of the p x (B+p) matrix H is h

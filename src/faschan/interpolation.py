@@ -25,9 +25,9 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import lapack, toeplitz
+from scipy.linalg import lapack
 
-from .arfit import ArpModel, arp_induced_covariance
+from .arfit import ArpModel
 from .correlation import EigenSpectrum, ToeplitzCovariance
 from .errors import NumericalError
 from .rng import derive, make_rng
@@ -166,18 +166,6 @@ def dense_mmse(cov: ToeplitzCovariance, obs: ObservationSet) -> ReconstructionRe
         means=means[0] if obs.values.ndim == 1 else means,
         posterior=(variances, nmse),
     )
-
-
-def stationary_covariance(model: ArpModel) -> np.ndarray:
-    """Covariance of the lifted state [g_k, ..., g_{k-p+1}] under the model's own law.
-
-    Entry (i, j) is E[g_{k-i} conj(g_{k-j})] = r(j - i), with r the lags of
-    ``arp_induced_covariance``.  This Toeplitz matrix is the fixed point of
-    P = A P A^H + Q for the companion dynamics, and the reference that the
-    smoother's prior, ``ArpModel.stationary_factor``, is checked against.
-    """
-    lags = arp_induced_covariance(model, model.p).first_row
-    return toeplitz(np.conj(lags), lags)
 
 
 def kalman_smooth(model: ArpModel, obs: ObservationSet, N: int) -> ReconstructionResult:

@@ -21,11 +21,12 @@ The swarm's lifted states live in a newest-first ring of p + _RING_SPARE
 columns per particle: each port writes its fresh values one column to the
 left of the current window, and only when the window reaches the ring's
 left edge are its newest p - 1 columns copied back to the right, once every
-_RING_SPARE ports instead of a shift of the whole swarm per port.
-``ParticleEnsemble.states`` is the current window, a view into the ring, and
+_RING_SPARE ports instead of a shift of the whole swarm per port.  The
+swarm's states are the current window, a view into the ring, and
 resampling rewrites it in place.  The window is the same newest-first
 (J, p) matrix the per-port shift kept, so ``states @ alpha`` and every
-estimate round exactly as they did.
+estimate round exactly as they did.  The weights and the survival
+log-mass are plain locals of each threshold's run.
 """
 
 from __future__ import annotations
@@ -49,26 +50,6 @@ _PROPAGATE_BRANCH = 1
 _RESAMPLE_BRANCH = 2
 # spare ring columns: the swarm's states are copied back once every this many ports
 _RING_SPARE = 8
-
-
-@dataclass
-class ParticleEnsemble:
-    """Swarm state for one threshold: lifted states, weights, survival log-mass.
-
-    ``states[:, j]`` holds g_{k-j} for the current port index k; weights form
-    a simplex over the J particles while any survive.  In the particle
-    evaluator ``states`` is a (J, p) view into its ring of past states, and
-    resampling rewrites it in place.
-    """
-
-    states: np.ndarray
-    weights: np.ndarray
-    log_survival: float = 0.0
-    step: int = 0
-
-    @property
-    def ess(self) -> float:
-        return float(1.0 / np.sum(self.weights**2))
 
 
 @dataclass(frozen=True)
@@ -136,33 +117,15 @@ def systematic_resample(weights, seed) -> np.ndarray:
     return np.minimum(np.searchsorted(cumulative, positions, side="right"), J - 1)
 
 
-def _survival_update(ensemble: ParticleEnsemble, alive, ess_ratio: float, seed, step: int) -> bool:
-    """Fold one indicator into the ensemble; False when the swarm went extinct."""
-    # each conditional survival factor is a probability; round-off in the
-    # weight sum must not push it past 1
-    c_k = min(float(np.sum(ensemble.weights[alive])), 1.0)
-    ensemble.step = step
-    if c_k <= 0.0:
-        ensemble.log_survival = -np.inf
-        return False
-    ensemble.log_survival += np.log(c_k)
-    weights = np.where(alive, ensemble.weights, 0.0) / c_k
-    J = weights.size
-    if 1.0 / np.sum(weights**2) < ess_ratio * J:
-        ancestors = systematic_resample(weights, derive(seed, _RESAMPLE_BRANCH, step))
-        ensemble.states[:] = ensemble.states[ancestors]
-        weights = np.full(J, 1.0 / J)
-    ensemble.weights = weights
-    return True
-
-
 def _evaluate_threshold(
     model: ArpModel, N: int, t: float, J: int, ess_ratio: float, seed, start_factor: np.ndarray
 ) -> "tuple[float, int]":
     """Survival probability estimate for one threshold, plus extinction step (-1 if none).
 
     ``start_factor`` is the ``burned_in_factor`` of the starting law.  The
-    states are the window ring[:, head : head + p] of a newest-first ring.
+    swarm's states are the window ring[:, head : head + p] of a newest-first
+    ring, with ``states[:, j]`` holding g_{k-j} at port k; its weights form a
+    simplex over the J particles while any survive.
     """
     p = model.p
     start = burned_in_states(start_factor, J, derive(seed, _WARMUP_BRANCH))
@@ -172,29 +135,46 @@ def _evaluate_threshold(
     head = _RING_SPARE
     ring[:, head:] = start
     del start
-    ensemble = ParticleEnsemble(states=ring[:, head:], weights=np.full(J, 1.0 / J))
+    states = ring[:, head:]
+    weights = np.full(J, 1.0 / J)
+    log_survival = 0.0
+
+    def survive(alive, step: int) -> bool:
+        """Fold one port's indicator into the swarm; False when it went extinct."""
+        nonlocal weights, log_survival
+        # each conditional survival factor is a probability; round-off in the
+        # weight sum must not push it past 1
+        c_k = min(float(np.sum(weights[alive])), 1.0)
+        if c_k <= 0.0:
+            return False
+        log_survival += np.log(c_k)
+        weights = np.where(alive, weights, 0.0) / c_k
+        if 1.0 / np.sum(weights**2) < ess_ratio * J:
+            # resampling rewrites the window in place
+            states[:] = states[systematic_resample(weights, derive(seed, _RESAMPLE_BRANCH, step))]
+            weights = np.full(J, 1.0 / J)
+        return True
+
     # ports 1..p are already materialized in the initial state
     for k in range(1, p + 1):
-        alive = np.abs(ensemble.states[:, p - k]) ** 2 <= t
-        if not _survival_update(ensemble, alive, ess_ratio, seed, k):
+        if not survive(np.abs(states[:, p - k]) ** 2 <= t, k):
             return 0.0, k
         if k >= N:
-            return float(np.exp(ensemble.log_survival)), -1
+            return float(np.exp(log_survival)), -1
     rng = make_rng(derive(seed, _PROPAGATE_BRANCH))
     sigma = np.sqrt(model.sigma_eps2)
     for k in range(p + 1, N + 1):
-        fresh = ensemble.states @ model.alpha + sigma * complex_standard_normal(rng, J)
+        fresh = states @ model.alpha + sigma * complex_standard_normal(rng, J)
         if head == 0:
             # the window's newest p - 1 states move to the ring's right end
             ring[:, _RING_SPARE + 1 :] = ring[:, : p - 1]
             head = _RING_SPARE + 1
         head -= 1
         ring[:, head] = fresh
-        ensemble.states = ring[:, head : head + p]
-        alive = np.abs(fresh) ** 2 <= t
-        if not _survival_update(ensemble, alive, ess_ratio, seed, k):
+        states = ring[:, head : head + p]
+        if not survive(np.abs(fresh) ** 2 <= t, k):
             return 0.0, k
-    return float(np.exp(ensemble.log_survival)), -1
+    return float(np.exp(log_survival)), -1
 
 
 def smc_cdf(

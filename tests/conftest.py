@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import toeplitz
 
-from faschan.arfit import ArpModel, unit_noise_gain
+from faschan.arfit import ArpModel, arp_induced_covariance, unit_noise_gain
 from faschan.correlation import ClarkeModel, build_covariance, eigen_spectrum
 from faschan.rng import make_rng
 
@@ -51,6 +52,18 @@ def make_consistent_model(p: int, seed=0, max_mod: float = 0.6, roots=None) -> A
     lags[:p] = pinf[0, :]
     lags[p] = alpha @ lags[p - 1 :: -1][:p] if p > 1 else alpha[0] * lags[0]
     return ArpModel(alpha=alpha, sigma_eps2=sigma_eps2, p=p, source_lags=lags)
+
+
+def stationary_covariance(model: ArpModel) -> np.ndarray:
+    """Covariance of the lifted state [g_k, ..., g_{k-p+1}] under the model's own law.
+
+    Entry (i, j) is E[g_{k-i} conj(g_{k-j})] = r(j - i), with r the lags of
+    ``arp_induced_covariance``.  This Toeplitz matrix is the fixed point of
+    P = A P A^H + Q for the companion dynamics, and the reference that the
+    smoother's prior, ``ArpModel.stationary_factor``, is checked against.
+    """
+    lags = arp_induced_covariance(model, model.p).first_row
+    return toeplitz(np.conj(lags), lags)
 
 
 def companion(model: ArpModel) -> "tuple[np.ndarray, np.ndarray]":

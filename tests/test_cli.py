@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -402,6 +403,19 @@ class TestBench:
             assert float(row[5]) == pytest.approx(nm_k, rel=1e-12)
             assert float(row[6]) == pytest.approx(nm_o, rel=1e-12)
 
+    @pytest.mark.parametrize("strategies, m", [("random,uniform_interior", 1), ("uniform_endpoints", 2)])
+    def test_ratio_down_to_the_least_accepted_m(self, strategies, m, capsys, tmp_path):
+        # round(ratio * N) is used as it is, never raised to what a strategy needs
+        out = tmp_path / "bench.csv"
+        code, _, _ = run_cli(
+            ["bench", "--W", "2", "--N", "50", "--p", "3", "--ratio", str(m / 50), "--trials", "2",
+             "--strategies", strategies, "--seed", "1", "--no-meta", "--out", str(out)],
+            capsys,
+        )
+        assert code == 0
+        rows = list(csv.DictReader(out.read_text().splitlines()))
+        assert rows and {row["M"] for row in rows} == {str(m)}
+
     def test_duplicate_strategy_usage_error(self, capsys):
         code, out, err = run_cli(
             ["bench", "--W", "2", "--N", "20", "--ratio", "0.2", "--p", "3", "--trials", "2",
@@ -445,12 +459,24 @@ class TestBound:
             (["bench", "--W", "2", "--N", "20", "--p", "3", "--M", "0"], "--M"),
             (["interpolate", "--W", "2", "--N", "20", "--p", "3", "--M", "-2",
               "--strategy", "uniform_endpoints"], "--M"),
+            # fewer observed ports than a requested strategy accepts, or more than N
+            (["bench", "--W", "2", "--N", "50", "--p", "3", "--M", "1", "--trials", "2"], "--M"),
+            (["interpolate", "--W", "2", "--N", "100", "--M", "1", "--strategy", "uniform_endpoints",
+              "--p-max", "20"], "--M"),
+            (["bench", "--W", "2", "--N", "50", "--p", "3", "--ratio", "0.01", "--strategies", "random"],
+             "--ratio"),
+            (["bench", "--W", "2", "--N", "60,30", "--p", "3", "--M", "40", "--trials", "2"], "--M"),
+            # a repeated entry of a list that keys seeds would repeat its rows
+            (["cdf", "--W", "2", "--N", "30", "--p", "3,3", "--mc", "1000", "--J", "100",
+              "--t-quantile-grid", "2"], "--p"),
+            (["bench", "--W", "2", "--N", "30,30", "--p", "3", "--ratio", "0.2", "--trials", "2"], "--N"),
         ],
     )
     def test_bad_eps_or_trials_rejected_before_sampling(self, argv, flag, monkeypatch, capsys):
         # a target outside [0, 1], an empty Monte Carlo round, an observation
-        # fraction outside (0, 1] or fewer than one observed port fails
-        # before any fit, spectrum or draw
+        # fraction outside (0, 1], an observed port count outside what the
+        # strategies accept or a repeated seed-keying entry fails before any
+        # fit, spectrum or draw
         def unexpected(*args, **kwargs):
             raise AssertionError("sampled before the flags were checked")
 

@@ -4,14 +4,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from faschan.arfit import ArpModel, fit_clarke_model, yule_walker_fit
+from faschan.arfit import ArpModel, fit_clarke_model
 from faschan.correlation import ClarkeModel
 from faschan.errors import UnstableModelError
 from faschan.generator import (
     _CHUNK_ROWS,
     _DRAW_ROWS,
     SimulationConfig,
-    simulate,
+    burned_in_factor,
     simulate_batch,
     simulate_max_gains,
 )
@@ -33,14 +33,9 @@ class TestSimulate:
         white = ArpModel(
             alpha=np.array([0.0 + 0j]), sigma_eps2=0.7, p=1, source_lags=np.array([0.7, 0.0 + 0j])
         )
-        sample = simulate(white, SimulationConfig(N=100_000, B=10, seed=1))
+        sample = simulate_batch(white, SimulationConfig(N=100_000, B=10, seed=1), 1)[0]
         assert np.mean(np.abs(sample) ** 2) == pytest.approx(0.7, rel=0.05)
         assert abs(np.mean(sample)) < 3 * np.sqrt(0.7 / sample.size)
-
-    def test_deterministic(self):
-        model = yule_walker_fit([1.0, 0.5])
-        config = SimulationConfig(N=50, B=100, seed=9)
-        np.testing.assert_array_equal(simulate(model, config), simulate(model, config))
 
     @pytest.mark.parametrize("B, N", [(0, 5), (1, 5), (2, 2), (50, 6)])
     def test_kept_block_follows_the_burned_in_law(self, complex_root_model, B, N):
@@ -64,7 +59,7 @@ class TestSimulate:
     def test_unstable_refused(self):
         bad = ArpModel(alpha=np.array([1.5 + 0j]), sigma_eps2=1.0, p=1, source_lags=np.array([1.0, 0.9 + 0j]))
         with pytest.raises(UnstableModelError):
-            simulate(bad, SimulationConfig(N=10, B=0, seed=0))
+            simulate_batch(bad, SimulationConfig(N=10, B=0, seed=0), 1)
 
     def test_burn_in_sufficiency(self):
         # two-run comparison oracle: doubling the burn-in leaves the law unchanged
@@ -92,9 +87,9 @@ class TestRowStreams:
         "seed", [5, (11, 1), (3, 2**33), (1, 2, 3, 4, 5), (9, 2**64 + 5, 0, 2**40), tuple(range(11))],
         ids=repr,
     )
-    def test_simulate_reads_the_stream_of_the_seed_itself(self, seed):
-        got = simulate(WHITE, SimulationConfig(N=9, B=4, seed=seed))
-        np.testing.assert_array_equal(got, complex_standard_normal(make_rng(seed), 9))
+    def test_lone_row_reads_its_derived_stream(self, seed):
+        got = simulate_batch(WHITE, SimulationConfig(N=9, B=4, seed=seed), 1)[0]
+        np.testing.assert_array_equal(got, complex_standard_normal(make_rng(derive(seed, 0)), 9))
 
     @pytest.mark.parametrize("seed", [6, (2**32 + 1, 7), (9, 2**64 + 5, 0, 2**40), tuple(range(11))], ids=repr)
     def test_batch_rows_read_their_derived_streams(self, seed):
@@ -150,48 +145,38 @@ class TestSummationOrder:
             normals = complex_standard_normal(make_rng(derive(config.seed, row)), N)
             np.testing.assert_array_equal(batch[row], recursion_reference(model, batch[row], normals))
 
-    def test_simulate_follows_the_reference_recursion(self, case):
-        model, N, B = case
-        config = SimulationConfig(N=N, B=B, seed=15)
-        got = simulate(model, config)
-        normals = complex_standard_normal(make_rng(config.seed), N)
-        np.testing.assert_array_equal(got, recursion_reference(model, got, normals))
-
 
 class TestSimulateBatch:
-    def test_single_row_equals_simulate_with_derived_seed(self):
-        model = yule_walker_fit([1.0, 0.3 + 0.2j])
-        config = SimulationConfig(N=40, B=20, seed=13)
-        batch = simulate_batch(model, config, 1)
-        solo = simulate(model, SimulationConfig(N=40, B=20, seed=(13, 0)))
-        np.testing.assert_array_equal(batch[0], solo)
-
     @pytest.mark.parametrize("case", ["toy", "production_fit"])
     def test_rows_reproducible_in_isolation(self, case):
-        # the production fit (p=37) has a dense start factor, whose product a
+        # row i is a function of its own derived stream alone: its first p
+        # ports are the lone matrix-vector product of the start factor on the
+        # stream's first p normals, and the rest follow the recursion.  The
+        # production fit (p=37) has a dense start factor, whose product a
         # shared gemm would round differently from a lone row's
         if case == "toy":
-            model, N, B = yule_walker_fit([1.0, 0.3]), 25, 10
+            model, N, B = make_consistent_model(1, roots=[0.3]), 25, 10
         else:
             model, N, B = fit_clarke_model(ClarkeModel(W=5.0, N=200), 37), 200, 1000
-        config = SimulationConfig(N=N, B=B, seed=6)
-        batch = simulate_batch(model, config, 5)
-        row3 = simulate(model, SimulationConfig(N=N, B=B, seed=(6, 3)))
-        np.testing.assert_array_equal(batch[3], row3)
-        # rows on both sides of a chunk boundary, including a short last chunk
-        # and a last chunk of one row
+        p, seed = model.p, 6
+        # F^H e is [g_{B+p}, ..., g_{B+1}]; its rows reversed give ports 1..p in order
+        lift = np.ascontiguousarray(burned_in_factor(model, B).conj().T[::-1])
+        # a lone chunk, then rows on both sides of a chunk boundary, including
+        # a short last chunk and a last chunk of one row
         for count, rows in (
+            (5, (0, 3, 4)),
             (_CHUNK_ROWS + 1, (0, _CHUNK_ROWS - 1, _CHUNK_ROWS)),
             (_CHUNK_ROWS + 3, (0, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 2)),
         ):
-            batch = simulate_batch(model, config, count)
+            batch = simulate_batch(model, SimulationConfig(N=N, B=B, seed=seed), count)
             for row in rows:
-                solo = simulate(model, SimulationConfig(N=N, B=B, seed=(6, row)))
-                np.testing.assert_array_equal(batch[row], solo)
+                normals = complex_standard_normal(make_rng(derive(seed, row)), N)
+                np.testing.assert_array_equal(batch[row, :p], lift @ normals[:p])
+                np.testing.assert_array_equal(batch[row], recursion_reference(model, batch[row], normals))
 
     def test_working_memory_independent_of_count(self):
         # beyond its own output, a batch holds one chunk's buffers whatever its size
-        model = yule_walker_fit([1.0, 0.3])
+        model = make_consistent_model(1, roots=[0.3])
         config = SimulationConfig(N=8, B=8, seed=3)
         extra = []
         for count in (2 * _CHUNK_ROWS, 4 * _CHUNK_ROWS):
@@ -205,7 +190,7 @@ class TestSimulateBatch:
         assert extra[1] == pytest.approx(extra[0], rel=0.1)
 
     def test_deterministic(self):
-        model = yule_walker_fit([1.0, 0.4])
+        model = make_consistent_model(1, roots=[0.4])
         config = SimulationConfig(N=20, B=10, seed=2)
         np.testing.assert_array_equal(
             simulate_batch(model, config, 7), simulate_batch(model, config, 7)
@@ -243,7 +228,7 @@ class TestSimulateBatch:
         assert 1.0 <= small / big <= 4.0
 
     def test_count_validated(self):
-        model = yule_walker_fit([1.0, 0.2])
+        model = make_consistent_model(1, roots=[0.2])
         with pytest.raises(ValueError):
             simulate_batch(model, SimulationConfig(N=5, B=0, seed=0), 0)
 
@@ -298,7 +283,7 @@ class TestSimulateMaxGains:
 
     def test_working_memory_independent_of_count(self):
         # only the (count,) gains outlive each chunk
-        model = yule_walker_fit([1.0, 0.3])
+        model = make_consistent_model(1, roots=[0.3])
         config = SimulationConfig(N=8, B=8, seed=3)
         extra = []
         for count in (2 * _CHUNK_ROWS, 4 * _CHUNK_ROWS):

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from faschan.arfit import arp_induced_covariance, check_stability, fit_clarke_model, yule_walker_fit
+from faschan.arfit import ArpModel, arp_induced_covariance, check_stability, fit_clarke_model
 from faschan.correlation import (
     ClarkeModel,
     ToeplitzCovariance,
@@ -25,12 +25,17 @@ from faschan.interpolation import (
     min_observations_bound,
     nmse,
     port_select,
-    stationary_covariance,
     trial_patterns,
 )
 from faschan.rng import complex_standard_normal, derive, make_rng
 
-from conftest import burned_in_oracle, companion, kalman_smooth_joseph, make_consistent_model
+from conftest import (
+    burned_in_oracle,
+    companion,
+    kalman_smooth_joseph,
+    make_consistent_model,
+    stationary_covariance,
+)
 
 
 class TestObservationSet:
@@ -130,7 +135,7 @@ class TestStateSpace:
     def test_ar1_structure(self):
         # one port of an AR(1): E[g_{m+d} | g_m] = alpha^d g_m forward and
         # conj(alpha)^d g_m backward, and the one-step variance is sigma_eps2
-        model = yule_walker_fit([1.0, 0.5 + 0.1j])
+        model = make_consistent_model(1, roots=[0.5 + 0.1j])
         alpha = model.alpha[0]
         factor = model.stationary_factor
         np.testing.assert_allclose(factor.conj().T @ factor, [[model.r0]])
@@ -165,12 +170,12 @@ class TestStateSpace:
 
 class TestStationaryCovariance:
     def test_ar1_geometric_series(self):
-        model = yule_walker_fit([1.0, 0.6])
+        model = make_consistent_model(1, roots=[0.6])
         pinf = stationary_covariance(model)
         assert pinf[0, 0].real == pytest.approx(model.sigma_eps2 / (1 - 0.36), rel=1e-12)
 
     def test_white_process_ar1_returns_q(self):
-        model = yule_walker_fit([0.8, 0.0])
+        model = ArpModel(alpha=[0j], sigma_eps2=0.8, p=1, source_lags=[0.8, 0j])
         np.testing.assert_allclose(stationary_covariance(model), companion(model)[1], atol=1e-14)
 
     def test_white_process_higher_order_is_diagonal(self):
@@ -198,9 +203,7 @@ class TestStationaryCovariance:
 
     def test_top_row_matches_fitted_lags(self):
         # consistent fits carry their lag sequence in the stationary state
-        model = yule_walker_fit(
-            make_consistent_model(8, seed=(81, 20), max_mod=0.7).source_lags
-        )
+        model = make_consistent_model(8, seed=(81, 20), max_mod=0.7)
         pinf = stationary_covariance(model)
         np.testing.assert_allclose(pinf[0, :], model.source_lags[:8], atol=1e-8)
 
@@ -228,8 +231,6 @@ class TestStationaryCovariance:
         assert model.stationary_factor is factor
 
     def test_spectral_radius_validated(self):
-        from faschan.arfit import ArpModel
-
         bad = ArpModel(alpha=np.array([1.0 + 0j]), sigma_eps2=1.0, p=1, source_lags=np.array([1.0, 0.9 + 0j]))
         with pytest.raises(UnstableModelError):
             stationary_covariance(bad)
@@ -269,7 +270,7 @@ class TestKalmanSmooth:
     def test_single_mid_port_ar1_analytic(self):
         # conditioning an AR(1) on one port: variance r0*(1 - c^(2|k-m|))
         c = 0.8
-        model = yule_walker_fit([1.0, c])
+        model = make_consistent_model(1, roots=[c])
         n, mid = 21, 11
         obs = ObservationSet(indices=[mid], values=[0.7 - 0.2j], noise_var=0.0)
         result = kalman_smooth(model, obs, n)
@@ -286,8 +287,6 @@ class TestKalmanSmooth:
             kalman_smooth(model, obs, 10)
 
     def test_unstable_refused(self):
-        from faschan.arfit import ArpModel
-
         bad = ArpModel(alpha=np.array([1.1 + 0j]), sigma_eps2=1.0, p=1, source_lags=np.array([1.0, 0.9 + 0j]))
         obs = ObservationSet(indices=[2], values=[1.0 + 0j])
         with pytest.raises(UnstableModelError):

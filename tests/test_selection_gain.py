@@ -10,7 +10,7 @@ from faschan.arfit import ArpModel, check_stability, fit_clarke_model
 from faschan.correlation import ClarkeModel, build_covariance, eigen_spectrum, sample_exact
 from faschan.errors import UnstableModelError
 from faschan.generator import SimulationConfig, burned_in_factor, burned_in_states, simulate_batch
-from faschan.rng import complex_standard_normal, make_rng
+from faschan.rng import complex_standard_normal, derive, make_rng
 from faschan.selection_gain import empirical_cdf_max_gain, smc_cdf, systematic_resample
 from faschan.stats import isotonic_non_decreasing, max_gain
 
@@ -340,31 +340,42 @@ class TestRingBuffer:
 
 
 class TestSurvivalUpdate:
-    def test_resample_restores_full_ess(self):
-        from faschan.selection_gain import ParticleEnsemble, _survival_update
+    # the per-port survival update, run through the evaluator on a memoryless
+    # p = 1 model, whose port-1 values are the starting swarm itself
+    WHITE = ArpModel(alpha=[0j], sigma_eps2=1.0, p=1, source_lags=[1.0, 0j])
 
-        rng = make_rng(44)
-        J = 64
-        ensemble = ParticleEnsemble(
-            states=complex_standard_normal(rng, (J, 3)), weights=np.full(J, 1.0 / J)
+    def run_with_five_survivors(self, N, monkeypatch):
+        J, seed = 64, (44, 1)
+        factor = burned_in_factor(self.WHITE, 5)
+        start = burned_in_states(factor, J, derive(seed, selection_gain._WARMUP_BRANCH))
+        t = float(np.sort(np.abs(start[:, 0]) ** 2)[4])  # exactly 5 survive port 1
+        calls = []
+        resample = selection_gain.systematic_resample
+        monkeypatch.setattr(
+            selection_gain, "systematic_resample", lambda w, s: calls.append((w, s)) or resample(w, s)
         )
-        alive = np.zeros(J, dtype=bool)
-        alive[:5] = True  # kill almost everything: ESS collapses, resample fires
-        assert _survival_update(ensemble, alive, ess_ratio=0.5, seed=(44, 1), step=1)
-        np.testing.assert_allclose(ensemble.weights, 1.0 / J)
-        assert ensemble.ess == pytest.approx(J)
-        assert ensemble.log_survival == pytest.approx(np.log(5 / J))
+        return selection_gain._evaluate_threshold(self.WHITE, N, t, J, 0.5, seed, factor), calls
 
-    def test_extinction_reported(self):
-        from faschan.selection_gain import ParticleEnsemble, _survival_update
+    def test_collapse_resamples_and_keeps_the_survivor_mass(self, monkeypatch):
+        # 5 of 64 survive: the ESS falls below half the swarm, so it resamples
+        (value, extinct), calls = self.run_with_five_survivors(1, monkeypatch)
+        assert extinct == -1 and value == pytest.approx(5 / 64, rel=1e-12)
+        ((weights, resample_seed),) = calls
+        assert resample_seed == derive((44, 1), selection_gain._RESAMPLE_BRANCH, 1)
+        assert np.count_nonzero(weights) == 5
+        np.testing.assert_allclose(weights[weights > 0], 0.2, rtol=1e-12)
 
-        rng = make_rng(45)
-        ensemble = ParticleEnsemble(
-            states=complex_standard_normal(rng, (8, 2)), weights=np.full(8, 1.0 / 8)
-        )
-        assert not _survival_update(ensemble, np.zeros(8, dtype=bool), 0.5, (45, 1), step=3)
-        assert ensemble.log_survival == -np.inf
-        assert ensemble.step == 3
+    def test_resample_restores_uniform_weights(self, monkeypatch):
+        # after the resample every weight is 1/J, so port 2's factor counts survivors out of J
+        (value, extinct), _ = self.run_with_five_survivors(2, monkeypatch)
+        survivors = value / (5 / 64) * 64
+        assert extinct == -1 and 0 < round(survivors) <= 64
+        assert survivors == pytest.approx(round(survivors), rel=1e-12)
+
+    def test_threshold_zero_is_extinct_at_port_one(self):
+        model = make_consistent_model(2, seed=(45, 0))
+        factor = burned_in_factor(model, 10)
+        assert selection_gain._evaluate_threshold(model, 10, 0.0, 8, 0.5, (45, 1), factor) == (0.0, 1)
 
 
 class TestReferenceCurves:
