@@ -482,6 +482,8 @@ def cmd_bench(args) -> int:
     _require(args, ["W", "N", "p"])
     if args.ratio is None and args.M is None:
         raise ValueError("either --ratio or --M is required")
+    if args.ratio is not None and args.M is not None:
+        raise ValueError("--M and --ratio are alternatives; give one")
     trials = args.trials
     sigma_v2 = args.sigma_v2
     seed = args.seed

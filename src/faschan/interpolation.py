@@ -4,14 +4,17 @@ Two routes to the same posterior: dense joint-Gaussian conditioning on the
 full covariance (the oracle, cubic in the observation count), and a Kalman
 forward pass plus backward smoothing on the AR(p) companion state space
 (linear in the port count), in square-root form from the model's own
-stationary factor, so it keeps its accuracy on near-unit-circle fits.  For a
-fitted model both produce identical conditional means and variances, which
-is the central cross-check of this module.  The smoother returns its means,
-O(N p^3 + N p^2 T) for T value rows, and computes its variances, another
-O(N p^3), on their first read.  Also here: the posterior-error
-NMSE, the eigenvalue-tail lower bound on how many observations a target
-error requires and its Monte Carlo check, and the port selection strategies
-(grouped per trial by ``trial_patterns``) whose gaps drive interpolation.
+stationary factor, so it keeps its accuracy on near-unit-circle fits.  The
+smoother steps between anchors (the observed ports, port N, and fill-ins at
+most _ANCHOR_GAP apart) rather than through every port.  For a fitted model
+both produce identical conditional means and variances, which is the
+central cross-check of this module.  The smoother returns its means,
+O(A p^3 + A p^2 T + N T) for A anchors and T value rows, and computes its
+variances, another O(A p^3), on their first read.  Also here: the
+posterior-error NMSE, the eigenvalue-tail lower bound on how many
+observations a target error requires and its Monte Carlo check, and the
+port selection strategies (grouped per trial by ``trial_patterns``) whose
+gaps drive interpolation.
 
 Ports are 1-based throughout, matching the array indexing used by the
 observation sets.
@@ -37,6 +40,11 @@ NOISE_FLOOR_FACTOR = 1e-10
 
 # port_select strategies whose indices depend on (N, M) alone, not on a seed
 UNIFORM_STRATEGIES = ("uniform_endpoints", "uniform_interior")
+
+# longest jump between the smoother's anchors, before clamping to p: the
+# largest whose means stay within 2x of a port-by-port smoother's error
+# against dense conditioning on production fits (see kalman_smooth)
+_ANCHOR_GAP = 4
 
 
 @dataclass(frozen=True)
@@ -168,33 +176,59 @@ def dense_mmse(cov: ToeplitzCovariance, obs: ObservationSet) -> ReconstructionRe
     )
 
 
+def _anchors(indices: np.ndarray, N: int, cap: int) -> list:
+    """The ports ``kalman_smooth`` steps to, increasing: every observed port,
+    port N, and fill-ins so that the first anchor and every step between
+    neighbours are at most ``cap`` ports."""
+    anchors, prev = [], 0
+    ends = indices.tolist()
+    if ends[-1] != N:
+        ends.append(N)
+    for port in ends:
+        anchors.extend(range(prev + cap, port, cap))
+        anchors.append(port)
+        prev = port
+    return anchors
+
+
 def kalman_smooth(model: ArpModel, obs: ObservationSet, N: int) -> ReconstructionResult:
-    """Square-root forward filter plus backward RTS pass over ports 1..N.
+    """Square-root forward filter plus backward RTS pass, stepping between anchors.
 
-    The lifted state [g_k, ..., g_{k-p+1}] has covariance S^H S, S upper
-    triangular, from ``model.stationary_factor`` and mean zero.  Each step
-    keeps the R of a QR; S A^H = [S conj(alpha), S[:, :-1]] for the
-    companion matrix A, and every variance is |S[0, 0]|^2 >= 0:
+    The lifted state x_k = [g_k, ..., g_{k-p+1}] has covariance S^H S, S upper
+    triangular, from ``model.stationary_factor`` and mean zero.  The passes
+    visit only the anchors a_1 < ... < a_A of ``_anchors``: the observed
+    ports, port N, and fill-ins so that a_1 and every jump L = a_i - a_{i-1}
+    are at most c = min(_ANCHOR_GAP, p).  Each jump keeps the R of a QR, and
+    x_{k+L} = A^L x_k + sum_j A^j e_1 eps_{k+L-j} for the companion matrix A:
 
-    - predict: QR of [[S A^H, S], [sigma_eps e_1^T, 0]], whose left block is
-      the predicted factor S-; from the right block, the smoother gain is
-      G^H = (S-)^-1 Q_1^H [S; 0] and row p is the 1 x p factor z of the
-      conditional covariance z^H z = cov(x_{k-1} | x_k, ports up to k - 1).
-    - update: the QR of [[sigma_v, 0], [S e_1, S]] is one rotation, as
-      S e_1 = s_00 e_1: with v = sigma_v^2 + |s_00|^2 the gain is
-      s_00 conj(S[0]) / v and row 0 of S scales by sigma_v / sqrt(v).
-    - smooth: the RTS mean m_s = m_f + G (m_s' - A m_f), and the R of the
-      QR of [z; S_s G^H] for the covariance z^H z + G S_s^H S_s G^H, from
-      the next port's smoothed factor S_s.
+    - predict: QR of [[S (A^L)^H, S], [sigma_eps (A^j e_1)^H for j = L-1..0,
+      0]], (p + L) x 2p, whose left block is the predicted factor S-; from the
+      right block, the smoother gain is G^H = (S-)^-1 Q_1^H [S; 0] and rows
+      p.. are the L x p factor C of cov(x_{a_{i-1}} | x_{a_i}, earlier ports).
+    - update (observed anchors): the QR of [[sigma_v, 0], [S e_1, S]] is one
+      rotation, as S e_1 = s_00 e_1: with v = sigma_v^2 + |s_00|^2 the gain
+      is s_00 conj(S[0]) / v and row 0 of S scales by sigma_v / sqrt(v).
+    - smooth: the RTS mean m_s = m_f + G (m_s' - A^L m_f), and the R of the
+      QR of [C; S_s G^H] for the covariance C^H C + G S_s^H S_s G^H, from the
+      next anchor's smoothed factor S_s.
+
+    Ports (a_{i-1}, a_i] are entries 0..L-1 of x_{a_i}: their smoothed means
+    are the entries of the anchor's smoothed mean, and their variances the
+    squared column norms of its S_s.  The first anchor starts from the prior,
+    which is stationary, so ports 1..a_1 need no jump before it.  A jump of
+    L ports costs about as much as a one-port step, so fewer anchors run
+    faster; longer jumps lose accuracy across long noisy gaps, which is what
+    bounds c.
 
     A zero noise variance is floored at NOISE_FLOOR_FACTOR times the prior
     variance.  The factors depend only on the observed ports, so a (T, M)
     stack of values shares one factor pass, and the means run through
     ``_rowwise``, each row rounding as a single call does; ``means`` has the
-    shape of ``obs.values`` with the last axis N.  The means cost
-    O(N p^3 + N p^2 T) at call time.  The backward factor pass, O(N p^3),
-    runs on the first read of ``variances`` or ``nmse_unobserved``; until
-    then the result holds the gains and rows z, 16 (p^2 + p) bytes per port.
+    shape of ``obs.values`` with the last axis N.  For A anchors the means
+    cost O(A p^3 + A p^2 T + N T) at call time.  The backward factor pass,
+    O(A p^3), runs on the first read of ``variances`` or ``nmse_unobserved``;
+    until then the result holds one gain (16 p^2 bytes) per anchor and the
+    rows C, 16 p bytes per port.
     """
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
@@ -208,61 +242,85 @@ def kalman_smooth(model: ArpModel, obs: ObservationSet, N: int) -> Reconstructio
     rows = obs.values.reshape(-1, obs.M)
     t = rows.shape[0]
     y = dict(zip(obs.indices.tolist(), rows.T))
+    cap = min(_ANCHOR_GAP, p)
+    anchors = _anchors(obs.indices, N, cap)
     upper = np.triu(np.ones((p, p), dtype=bool))
-    conj_alpha_col = np.conj(alpha)[:, None]
+    # A^L = [heads[L]; I_{p-L} 0] for L <= p: heads[L] is the top L rows,
+    # the rest shift, so S (A^L)^H = [S heads[L]^H, S[:, :p-L]]
+    powers = [np.eye(p, dtype=np.complex128)]
+    for _ in range(cap):
+        powers.append(np.concatenate((alpha[None] @ powers[-1], powers[-1][:-1])))
+    heads = [power[:jump] for jump, power in enumerate(powers)]
+    heads_h = [np.ascontiguousarray(head.conj().T) for head in heads]
+    # noise[j] = sigma_eps (A^j e_1)^H
+    noise = sigma_eps * np.conj([power[:, 0] for power in powers[:cap]])
 
-    def advance(m):  # A m for each row m of a (T, p) stack
-        return np.concatenate((_rowwise(alpha[None], m), m[:, :-1]), axis=1)
+    def advance(m, jump):  # A^L m for each row m of a (T, p) stack
+        return np.concatenate((_rowwise(heads[jump], m), m[:, : p - jump]), axis=1)
 
-    means_f = np.empty((N, t, p), dtype=np.complex128)
-    # gains_h[k - 1] is G^H from port k - 1 to port k, conds[k - 1] its row z
-    gains_h = np.zeros((N, p, p), dtype=np.complex128)
-    conds = np.zeros((N, p), dtype=np.complex128)
-    predict = np.empty((p + 1, 2 * p), dtype=np.complex128, order="F")
+    means_f = np.empty((len(anchors), t, p), dtype=np.complex128)
+    # gains_h[i] is G^H from anchor i to anchor i + 1; conds[a_i:a_{i+1}] its C
+    gains_h = np.empty((len(anchors) - 1, p, p), dtype=np.complex128)
+    conds = np.empty((N, p), dtype=np.complex128)
+    predicts = [np.empty((p + jump, 2 * p), dtype=np.complex128, order="F") for jump in range(cap + 1)]
     mean = np.zeros((t, p), dtype=np.complex128)
-    for k in range(1, N + 1):
-        if k > 1:
-            mean = advance(mean)
-            np.matmul(s, conj_alpha_col, out=predict[:p, :1])
-            predict[:p, 1:p] = s[:, :-1]
+    for i, port in enumerate(anchors):
+        if i:
+            prev = anchors[i - 1]
+            jump = port - prev
+            mean = advance(mean, jump)
+            predict = predicts[jump]
+            np.matmul(s, heads_h[jump], out=predict[:p, :jump])
+            predict[:p, jump:p] = s[:, : p - jump]
             predict[:p, p:] = s
-            predict[p] = 0.0
-            predict[p, 0] = sigma_eps
+            predict[p:, :p] = noise[jump - 1 :: -1]
+            predict[p:, p:] = 0.0
             r = lapack.zgeqrf(predict, overwrite_a=1)[0]
-            gains_h[k - 1], info = lapack.ztrtrs(r[:p, :p], r[:p, p:])
+            gains_h[i - 1], info = lapack.ztrtrs(r[:p, :p], r[:p, p:])
             if info != 0:
-                raise NumericalError(f"predicted factor is singular at port {k}")
-            conds[k - 1] = r[p, p:]
+                raise NumericalError(f"predicted factor is singular at port {port}")
+            np.multiply(r[p:, p:], upper[:jump], out=conds[prev:port])
             s = r[:p, :p] * upper
-        if k in y:
+        if port in y:
             innovation_var = sv2 + abs(s[0, 0]) ** 2
-            mean = mean + s[0, 0] * np.conj(s[0]) / innovation_var * (y[k] - mean[:, 0])[:, None]
+            mean = mean + s[0, 0] * np.conj(s[0]) / innovation_var * (y[port] - mean[:, 0])[:, None]
             s[0] *= math.sqrt(sv2 / innovation_var)
-        means_f[k - 1] = mean
-    finite = np.isfinite(gains_h).all(axis=(1, 2)) & np.isfinite(conds).all(axis=1)
+        means_f[i] = mean
+    # finite[i]: the jump to anchor i.  A gain's sum is non-finite when an
+    # entry is (or when entries near 1e308 overflow), and needs no
+    # (anchors, p, p) temporary
+    jumps_finite = np.isfinite(gains_h.sum(axis=(1, 2))) & np.logical_and.reduceat(
+        np.isfinite(conds).all(axis=1), anchors[:-1]
+    )
+    finite = np.concatenate(([True], jumps_finite))
     finite[-1] &= bool(np.isfinite(s).all())
     if not finite.all():
-        raise NumericalError(f"filter factor became non-finite at port {int(np.argmin(finite)) + 1}")
+        raise NumericalError(f"filter factor became non-finite at port {anchors[int(np.argmin(finite))]}")
 
     means_out = np.empty((t, N), dtype=np.complex128)
-    mean_s = means_f[N - 1]
-    means_out[:, N - 1] = mean_s[:, 0]
-    for k in range(N - 1, 0, -1):
-        mean_f = means_f[k - 1]
-        mean_s = mean_f + _rowwise(gains_h[k].conj().T, mean_s - advance(mean_f))
-        means_out[:, k - 1] = mean_s[:, 0]
+    mean_s = means_f[-1]
+    for i in range(len(anchors) - 1, -1, -1):
+        port = anchors[i]
+        prev = anchors[i - 1] if i else 0
+        means_out[:, prev:port] = mean_s[:, port - prev - 1 :: -1]
+        if i:
+            mean_f = means_f[i - 1]
+            mean_s = mean_f + _rowwise(gains_h[i - 1].conj().T, mean_s - advance(mean_f, port - prev))
 
     def posterior(s=s):
         vars_out = np.empty(N)
-        vars_out[N - 1] = abs(s[0, 0]) ** 2
-        smooth = np.empty((p + 1, p), dtype=np.complex128, order="F")
-        for k in range(N - 1, 0, -1):
-            smooth[0] = conds[k]
-            np.matmul(s, gains_h[k], out=smooth[1:])
-            s = lapack.zgeqrf(smooth, overwrite_a=1)[0][:p] * upper
-            if not np.all(np.isfinite(s)):
-                raise NumericalError(f"smoother factor became non-finite at port {k}")
-            vars_out[k - 1] = abs(s[0, 0]) ** 2
+        smooths = [np.empty((jump + p, p), dtype=np.complex128, order="F") for jump in range(cap + 1)]
+        for i in range(len(anchors) - 1, -1, -1):
+            port = anchors[i]
+            prev = anchors[i - 1] if i else 0
+            vars_out[prev:port] = np.sum(np.abs(s[:, port - prev - 1 :: -1]) ** 2, axis=0)
+            if i:
+                smooth = smooths[port - prev]
+                smooth[: port - prev] = conds[prev:port]
+                np.matmul(s, gains_h[i - 1], out=smooth[port - prev :])
+                s = lapack.zgeqrf(smooth, overwrite_a=1)[0][:p] * upper
+                if not np.all(np.isfinite(s)):
+                    raise NumericalError(f"smoother factor became non-finite at port {prev}")
         unobserved = np.setdiff1d(np.arange(1, N + 1), obs.indices)
         if unobserved.size == 0:
             return vars_out, 0.0

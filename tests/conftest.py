@@ -184,13 +184,15 @@ def kalman_smooth_joseph(model: ArpModel, obs, N: int):
     """``interpolation.kalman_smooth`` with the Joseph-form backward pass, run eagerly.
 
     The reference for the smoother's means and variances: the same forward
-    square-root filter, keeping every filtered factor S_f, and a backward
-    step that takes the R of the QR of [S_f (I - A^H G^H); sigma_eps G^H[0];
-    S_s G^H].  Returns ``(means, variances, nmse_unobserved)``.
+    square-root filter over the same anchors, keeping every anchor's filtered
+    factor S_f, and a backward step over a jump of L ports that takes the R
+    of the QR of [S_f (I - (A^L)^H G^H); N_L G^H; S_s G^H], where the L rows
+    of N_L are sigma_eps (A^j e_1)^H for j = L-1..0.  Returns ``(means,
+    variances, nmse_unobserved)``.
     """
     from scipy.linalg import lapack
 
-    from faschan.interpolation import _effective_noise_var, _rowwise
+    from faschan.interpolation import _ANCHOR_GAP, _anchors, _effective_noise_var, _rowwise
 
     p, alpha = model.p, model.alpha
     sigma_eps = math.sqrt(model.sigma_eps2)
@@ -200,56 +202,61 @@ def kalman_smooth_joseph(model: ArpModel, obs, N: int):
     rows = obs.values.reshape(-1, obs.M)
     t = rows.shape[0]
     y = dict(zip(obs.indices.tolist(), rows.T))
+    cap = min(_ANCHOR_GAP, p)
+    anchors = _anchors(obs.indices, N, cap)
     upper = np.triu(np.ones((p, p), dtype=bool))
     eye = np.eye(p)
-    conj_alpha_col = np.conj(alpha)[:, None]
+    powers = [np.eye(p, dtype=np.complex128)]
+    for _ in range(cap):
+        powers.append(np.concatenate((alpha[None] @ powers[-1], powers[-1][:-1])))
+    heads = [power[:jump] for jump, power in enumerate(powers)]
+    heads_h = [np.ascontiguousarray(head.conj().T) for head in heads]
+    noise = sigma_eps * np.conj([power[:, 0] for power in powers[:cap]])
 
-    def advance(m):
-        return np.concatenate((_rowwise(alpha[None], m), m[:, :-1]), axis=1)
+    def advance(m, jump):
+        return np.concatenate((_rowwise(heads[jump], m), m[:, : p - jump]), axis=1)
 
-    means_f = np.empty((N, t, p), dtype=np.complex128)
-    factors_f = np.empty((N, p, p), dtype=np.complex128)
-    gains_h = np.zeros((N, p, p), dtype=np.complex128)
-    predict = np.empty((p + 1, 2 * p), dtype=np.complex128, order="F")
+    means_f = np.empty((len(anchors), t, p), dtype=np.complex128)
+    factors_f = np.empty((len(anchors), p, p), dtype=np.complex128)
+    gains_h = np.empty((len(anchors), p, p), dtype=np.complex128)
     mean = np.zeros((t, p), dtype=np.complex128)
-    for k in range(1, N + 1):
-        if k > 1:
-            mean = advance(mean)
-            np.matmul(s, conj_alpha_col, out=predict[:p, :1])
-            predict[:p, 1:p] = s[:, :-1]
+    for i, port in enumerate(anchors):
+        if i:
+            jump = port - anchors[i - 1]
+            mean = advance(mean, jump)
+            predict = np.empty((p + jump, 2 * p), dtype=np.complex128, order="F")
+            np.matmul(s, heads_h[jump], out=predict[:p, :jump])
+            predict[:p, jump:p] = s[:, : p - jump]
             predict[:p, p:] = s
-            predict[p] = 0.0
-            predict[p, 0] = sigma_eps
+            predict[p:, :p] = noise[jump - 1 :: -1]
+            predict[p:, p:] = 0.0
             r = lapack.zgeqrf(predict, overwrite_a=1)[0]
-            gains_h[k - 1], info = lapack.ztrtrs(r[:p, :p], r[:p, p:])
+            gains_h[i], info = lapack.ztrtrs(r[:p, :p], r[:p, p:])
             assert info == 0
             s = r[:p, :p] * upper
-        if k in y:
+        if port in y:
             innovation_var = sv2 + abs(s[0, 0]) ** 2
-            mean = mean + s[0, 0] * np.conj(s[0]) / innovation_var * (y[k] - mean[:, 0])[:, None]
+            mean = mean + s[0, 0] * np.conj(s[0]) / innovation_var * (y[port] - mean[:, 0])[:, None]
             s[0] *= math.sqrt(sv2 / innovation_var)
-        means_f[k - 1] = mean
-        factors_f[k - 1] = s
+        means_f[i] = mean
+        factors_f[i] = s
 
     means_out = np.empty((t, N), dtype=np.complex128)
     vars_out = np.empty(N)
-    mean_s = means_f[N - 1]
-    means_out[:, N - 1] = mean_s[:, 0]
-    vars_out[N - 1] = abs(s[0, 0]) ** 2
-    smooth = np.empty((2 * p + 1, p), dtype=np.complex128, order="F")
-    joseph = np.empty((p, p), dtype=np.complex128)
-    for k in range(N - 1, 0, -1):
-        mean_f, gain_h = means_f[k - 1], gains_h[k]
-        mean_s = mean_f + _rowwise(gain_h.conj().T, mean_s - advance(mean_f))
-        np.multiply(conj_alpha_col, gain_h[0], out=joseph)
-        np.subtract(eye, joseph, out=joseph)
-        joseph[:-1] -= gain_h[1:]
-        np.matmul(factors_f[k - 1], joseph, out=smooth[:p])
-        smooth[p] = sigma_eps * gain_h[0]
-        np.matmul(s, gain_h, out=smooth[p + 1 :])
-        s = lapack.zgeqrf(smooth, overwrite_a=1)[0][:p] * upper
-        means_out[:, k - 1] = mean_s[:, 0]
-        vars_out[k - 1] = abs(s[0, 0]) ** 2
+    mean_s = means_f[-1]
+    for i in range(len(anchors) - 1, -1, -1):
+        port = anchors[i]
+        prev = anchors[i - 1] if i else 0
+        means_out[:, prev:port] = mean_s[:, port - prev - 1 :: -1]
+        vars_out[prev:port] = np.sum(np.abs(s[:, port - prev - 1 :: -1]) ** 2, axis=0)
+        if i:
+            jump, mean_f, gain_h = port - prev, means_f[i - 1], gains_h[i]
+            mean_s = mean_f + _rowwise(gain_h.conj().T, mean_s - advance(mean_f, jump))
+            smooth = np.empty((2 * p + jump, p), dtype=np.complex128, order="F")
+            smooth[:p] = factors_f[i - 1] @ (eye - powers[jump].conj().T @ gain_h)
+            smooth[p : p + jump] = noise[jump - 1 :: -1] @ gain_h
+            smooth[p + jump :] = s @ gain_h
+            s = lapack.zgeqrf(smooth, overwrite_a=1)[0][:p] * upper
 
     unobserved = np.setdiff1d(np.arange(1, N + 1), obs.indices)
     nmse = 0.0 if unobserved.size == 0 else float(np.sum(vars_out[unobserved - 1]) / (r0 * unobserved.size))

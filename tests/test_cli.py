@@ -466,6 +466,9 @@ class TestBound:
             (["bench", "--W", "2", "--N", "50", "--p", "3", "--ratio", "0.01", "--strategies", "random"],
              "--ratio"),
             (["bench", "--W", "2", "--N", "60,30", "--p", "3", "--M", "40", "--trials", "2"], "--M"),
+            # the two ways to give the observed count are alternatives
+            (["bench", "--W", "2", "--N", "30", "--p", "3", "--M", "5", "--ratio", "0.5", "--trials", "1",
+              "--strategies", "random"], "--M and --ratio"),
             # a repeated entry of a list that keys seeds would repeat its rows
             (["cdf", "--W", "2", "--N", "30", "--p", "3,3", "--mc", "1000", "--J", "100",
               "--t-quantile-grid", "2"], "--p"),
@@ -475,8 +478,8 @@ class TestBound:
     def test_bad_eps_or_trials_rejected_before_sampling(self, argv, flag, monkeypatch, capsys):
         # a target outside [0, 1], an empty Monte Carlo round, an observation
         # fraction outside (0, 1], an observed port count outside what the
-        # strategies accept or a repeated seed-keying entry fails before any
-        # fit, spectrum or draw
+        # strategies accept, both --M and --ratio, or a repeated seed-keying
+        # entry fails before any fit, spectrum or draw
         def unexpected(*args, **kwargs):
             raise AssertionError("sampled before the flags were checked")
 

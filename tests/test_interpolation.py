@@ -38,6 +38,10 @@ from conftest import (
 )
 
 
+def _anchors_of(model, indices, n):
+    return interpolation._anchors(np.asarray(indices), n, min(interpolation._ANCHOR_GAP, model.p))
+
+
 class TestObservationSet:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -375,15 +379,50 @@ class TestDeferredPosterior:
                 return (np.full_like(a, np.nan),)
 
         monkeypatch.setattr(interpolation, "lapack", PoisonedLapack)
+        # the backward pass first steps from port N to the anchor before it
+        first = _anchors_of(model, obs.indices, n)[-2]
         for read in ("variances", "nmse_unobserved"):
-            with pytest.raises(NumericalError, match=f"at port {n - 1}$"):
+            with pytest.raises(NumericalError, match=f"at port {first}$"):
                 getattr(result, read)
         monkeypatch.undo()
         # a failed read caches nothing
         assert np.all(np.isfinite(result.variances))
 
+    @pytest.mark.parametrize("fault", ["gain", "rows", "singular"])
+    def test_forward_fault_names_its_anchor(self, fault, monkeypatch):
+        # the third jump fails: a non-finite gain, non-finite rows C, or a
+        # singular predicted factor
+        model, obs, n = self._case()
+        p, real = model.p, interpolation.lapack
+        anchors = _anchors_of(model, obs.indices, n)
+        calls = {"zgeqrf": 0, "ztrtrs": 0}
+
+        class FaultyLapack:
+            @staticmethod
+            def zgeqrf(a, overwrite_a=0):
+                r, *rest = real.zgeqrf(a, overwrite_a=overwrite_a)
+                calls["zgeqrf"] += 1
+                if fault == "rows" and calls["zgeqrf"] == 3:
+                    r[p:, p] = np.nan
+                return (r, *rest)
+
+            @staticmethod
+            def ztrtrs(a, b):
+                x, info = real.ztrtrs(a, b)
+                calls["ztrtrs"] += 1
+                if calls["ztrtrs"] == 3:
+                    x = np.full_like(x, np.nan) if fault == "gain" else x
+                    info = 2 if fault == "singular" else info
+                return x, info
+
+        monkeypatch.setattr(interpolation, "lapack", FaultyLapack)
+        message = "predicted factor is singular" if fault == "singular" else "filter factor became non-finite"
+        with pytest.raises(NumericalError, match=f"{message} at port {anchors[3]}$"):
+            kalman_smooth(model, obs, n)
+
     def test_memory_is_the_gains(self):
-        # the gains G^H, (N, p, p) complex, are the one array that grows as p^2 N
+        # the gains G^H, (anchors, p, p) complex, are the one array that grows
+        # as p^2 per anchor; the rows C add 16 p bytes per port
         n, p = 4000, 20
         model = fit_clarke_model(ClarkeModel(W=2.0, N=100), p)
         model.stationary_factor  # cached on the model, outside the traced region
@@ -395,7 +434,132 @@ class TestDeferredPosterior:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.25 * 16 * p * p * n
+        assert peak <= 1.25 * 16 * p * p * len(_anchors_of(model, idx, n))
+
+
+def _assert_matches_dense(model, obs, n):
+    """C4's gate for one case: the smoother's means within 1e-6 of max|dense
+    mean| and its variances within 1e-6 r0 of dense conditioning."""
+    dense = dense_mmse(arp_induced_covariance(model, n), obs)
+    kalman = kalman_smooth(model, obs, n)
+    scale = max(float(np.abs(dense.means).max()), 1e-12)
+    assert np.abs(dense.means - kalman.means).max() <= 1e-6 * scale
+    assert np.abs(dense.variances - kalman.variances).max() <= 1e-6 * model.r0
+    assert kalman.nmse_unobserved == pytest.approx(dense.nmse_unobserved, rel=1e-6, abs=1e-6)
+
+
+class TestAnchorEdgeCases:
+    """Patterns at the edges of the anchor steps, against dense conditioning."""
+
+    N = 60
+
+    @staticmethod
+    def _models():
+        # a toy, and a production fit whose roots sit near the unit circle
+        return [make_consistent_model(6, seed=(95, 0)), fit_clarke_model(ClarkeModel(W=2.0, N=100), 20)]
+
+    @staticmethod
+    def _obs(model, n, indices, noise, seed):
+        # a truth of the model's own law, as in C4: white values at the noise
+        # floor would test the conditioning of the data, not the smoother
+        truth = sample_exact(eigen_spectrum(arp_induced_covariance(model, n)), seed, 1)[0]
+        indices = np.asarray(indices)
+        values = truth[indices - 1] + np.sqrt(noise) * complex_standard_normal(make_rng(derive(seed, 1)), indices.size)
+        return ObservationSet(indices=indices, values=values, noise_var=noise)
+
+    def test_anchors_cover_every_gap(self):
+        n = 45
+        for model in self._models():
+            cap = min(interpolation._ANCHOR_GAP, model.p)
+            for indices in ([1], [n], [7, 8, 30], [2, 40], np.arange(1, n + 1)):
+                anchors = np.array(_anchors_of(model, indices, n))
+                assert anchors[0] <= cap and np.all(np.diff(anchors) >= 1) and np.all(np.diff(anchors) <= cap)
+                assert anchors[-1] == n and np.all(np.isin(indices, anchors))
+
+    @pytest.mark.parametrize("where", ["middle", "first", "last"])
+    @pytest.mark.parametrize("noise", [0.0, 1e-2])
+    def test_one_observed_port(self, where, noise):
+        port = {"middle": self.N // 2 + 3, "first": 1, "last": self.N}[where]
+        for model in self._models():
+            _assert_matches_dense(model, self._obs(model, self.N, [port], noise, (96, port)), self.N)
+
+    @pytest.mark.parametrize("noise", [0.0, 1e-2])
+    def test_leading_fill_ins_and_trailing_unobserved_ports(self, noise):
+        indices = [11, 14, 23, 31]
+        for model in self._models():
+            anchors = _anchors_of(model, indices, self.N)
+            assert anchors[0] < indices[0] and anchors[-2] > indices[-1]
+            _assert_matches_dense(model, self._obs(model, self.N, indices, noise, (97, 0)), self.N)
+
+    @pytest.mark.parametrize("strategy", ["uniform_endpoints", "random"])
+    @pytest.mark.parametrize("noise", [0.0, 1e-2])
+    def test_two_ports_at_n_200(self, strategy, noise):
+        # gaps far longer than p, filled by anchors alone
+        n = 200
+        indices = port_select(strategy, n, 2, (98, 0))
+        for model in self._models():
+            _assert_matches_dense(model, self._obs(model, n, indices, noise, (98, 1)), n)
+
+    @pytest.mark.parametrize("noise", [0.0, 1e-2])
+    def test_full_observation_jumps_one_port(self, noise):
+        indices = np.arange(1, self.N + 1)
+        for model in self._models():
+            assert _anchors_of(model, indices, self.N) == indices.tolist()
+            _assert_matches_dense(model, self._obs(model, self.N, indices, noise, (99, 0)), self.N)
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("noise", [0.0, 1e-2])
+    def test_orders_below_the_gap_cap(self, p, noise):
+        # the cap clamps to p, so every jump is at most p ports
+        model = make_consistent_model(p, seed=(100, p), max_mod=0.8)
+        for indices in ([self.N], [9, 10, 37], port_select("random", self.N, 12, (100, 0))):
+            assert max(np.diff([0, *_anchors_of(model, indices, self.N)])) <= p
+            _assert_matches_dense(model, self._obs(model, self.N, indices, noise, (100, 1)), self.N)
+
+    def test_stacked_rows_match_single_vector_calls(self):
+        indices = [11, 14, 23, 31]
+        for model in self._models():
+            values = complex_standard_normal(make_rng((101, model.p)), (3, len(indices)))
+            stacked = kalman_smooth(model, ObservationSet(indices=indices, values=values, noise_var=1e-2), self.N)
+            for row in range(3):
+                single = kalman_smooth(model, ObservationSet(indices=indices, values=values[row], noise_var=1e-2), self.N)
+                np.testing.assert_array_equal(stacked.means[row], single.means)
+                np.testing.assert_array_equal(stacked.variances, single.variances)
+
+
+class TestWidePatternSet:
+    """C4's gate over a wider set of production fits, strategies, counts and noise.
+
+    Anchor jumps lose accuracy across long noisy gaps, so this set adds the
+    longest gaps (M = N/10) and the largest order (p = 40) to C4's cases.
+    """
+
+    SEEDS = range(1, 7)
+
+    @pytest.mark.parametrize(
+        "w, n, p", [(2.0, 100, 10), (2.0, 100, 20), (5.0, 200, 20), (5.0, 200, 37), (5.0, 200, 40)]
+    )
+    def test_production_fits_match_dense(self, w, n, p):
+        model = fit_clarke_model(ClarkeModel(W=w, N=n), p)
+        cov = arp_induced_covariance(model, n)
+        spectrum = eigen_spectrum(cov)
+        worst_mean = worst_var = 0.0
+        for seed in self.SEEDS:
+            truth = sample_exact(spectrum, (seed, 615, n, p), 1)[0]
+            for s_idx, strategy in enumerate(("random", "uniform_endpoints", "uniform_interior")):
+                for m in (n // 5, n // 10):
+                    idx = port_select(strategy, n, m, (seed, 616, n, p, s_idx, m))
+                    noise_draw = complex_standard_normal(make_rng((seed, 617, n, p, m)), idx.size)
+                    for noise in (0.0, 1e-4, 1e-2):
+                        obs = ObservationSet(indices=idx, values=truth[idx - 1] + np.sqrt(noise) * noise_draw,
+                                             noise_var=noise)
+                        dense = dense_mmse(cov, obs)
+                        kalman = kalman_smooth(model, obs, n)
+                        scale = float(np.abs(dense.means).max())
+                        worst_mean = max(worst_mean, float(np.abs(dense.means - kalman.means).max()) / scale)
+                        worst_var = max(worst_var, float(np.abs(dense.variances - kalman.variances).max()) / model.r0)
+        assert worst_mean <= 1e-6
+        assert worst_var <= 1e-6
 
 
 class TestStackedReconstruction:
