@@ -542,16 +542,17 @@ def cmd_bound(args) -> int:
     truth_sampler = functools.partial(correlation.sample_exact, spectrum)
     min_m = _least_observed([args.strategy])
 
-    def empirical(eps, estimator, trial_seed):
+    def empirical(eps, estimator, trial_seed, bound):
         return interpolation.empirical_min_observations(
-            eps, args.trials, trial_seed, estimator, truth_sampler, args.strategy, model.N, min_m=min_m
+            eps, args.trials, trial_seed, estimator, truth_sampler, args.strategy, model.N,
+            min_m=min_m, start=bound,
         )
 
     rows = []
     for idx, eps in enumerate(args.eps):
         bound = interpolation.min_observations_bound(spectrum, eps)
-        m_oracle = empirical(eps, oracle, derive(seed, idx, 0))
-        m_kalman = -1 if kalman is None else empirical(eps, kalman, derive(seed, idx, 1))
+        m_oracle = empirical(eps, oracle, derive(seed, idx, 0), bound)
+        m_kalman = -1 if kalman is None else empirical(eps, kalman, derive(seed, idx, 1), bound)
         rows.append((eps, bound, m_oracle, m_kalman))
     _write_csv(
         args,

@@ -474,6 +474,7 @@ def empirical_min_observations(
     strategy,
     N: int,
     min_m: int = 1,
+    start: "int | None" = None,
 ) -> int:
     """Smallest M whose Monte-Carlo mean NMSE reaches epsilon, by bisection.
 
@@ -482,8 +483,21 @@ def empirical_min_observations(
     a ``port_select`` name or a ``select(M, trial_seed) -> indices`` callable;
     the round at M reads truths and ports (``trial_patterns``) from seed
     ``derive(seed, M)``.  M qualifies when its mean NMSE is at most epsilon
-    plus three standard errors.  The estimator runs once per port pattern, on
-    stacked values, and the ratios keep the trial order.
+    plus three standard errors; N qualifies without a round.  The estimator
+    runs once per port pattern, on stacked values, and the ratios keep the
+    trial order.
+
+    Without ``start`` (or with one outside (min_m, N)) the search probes
+    min_m, then bisects [min_m, N].  A ``start`` inside, such as
+    ``min_observations_bound``, is probed first and brackets the answer by
+    doubling steps: a qualifying start probes start-1, start-3, start-7, ...
+    (down to min_m) until a probe fails, so an answer below the start is
+    still found; a failing start probes start+1, start+3, ... until one
+    qualifies or the step reaches N.  The bisection then runs inside the
+    bracket.  Each round's verdict depends on M alone, so wherever it is
+    monotone in M, as bisection already assumes, every start gives the same
+    answer; a start d ports from it costs at most 2 ceil(log2(d + 1)) + 2
+    rounds.
     """
 
     def qualifies(m: int) -> bool:
@@ -499,9 +513,26 @@ def empirical_min_observations(
         sem = float(np.std(ratios, ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
         return mean <= epsilon + 3.0 * sem
 
-    lo, hi = min_m, N
-    if qualifies(lo):
-        return lo
+    # lo fails (min_m - 1: below the range) and hi qualifies; without a
+    # start there is no bracketing step
+    lo, hi = min_m - 1, N
+    seeded = start is not None and min_m < start < N
+    first, step = (start, 1) if seeded else (min_m, 0)
+    if qualifies(first):
+        hi = first
+        while step and hi > min_m:  # step down until a probe fails
+            probe = max(hi - step, min_m)
+            if not qualifies(probe):
+                lo = probe
+                break
+            hi, step = probe, 2 * step
+    else:
+        lo = first
+        while step and lo + step < hi:  # step up until a probe qualifies
+            if qualifies(lo + step):
+                hi = lo + step
+                break
+            lo, step = lo + step, 2 * step
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if qualifies(mid):

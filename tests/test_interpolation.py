@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -694,6 +695,107 @@ class TestStackedReconstruction:
     def test_trial_patterns_unknown_strategy_raises(self):
         with pytest.raises(ValueError, match="unknown strategy"):
             trial_patterns("uniform_everywhere", 100, 20, 3, 0)
+
+
+class TestSeededSearch:
+    """``empirical_min_observations`` from a start: the doubling bracket, then bisection."""
+
+    N, MIN_M = 40, 2
+
+    def _search(self, answer, start):
+        """The search on a criterion exact from M = answer on; returns (M, probed Ms)."""
+        n, probed = self.N, []
+
+        def truth_sampler(seed, count):
+            probed.append(seed[-1])  # the round at M draws from derive(seed, M)
+            return np.ones((count, n))
+
+        def estimator(obs):
+            return SimpleNamespace(means=np.zeros(n) if obs.M < answer else np.ones(n))
+
+        def select(m, seed):
+            return np.arange(1, m + 1)
+
+        got = empirical_min_observations(0.0, 2, 0, estimator, truth_sampler, select, n, min_m=self.MIN_M, start=start)
+        return got, probed
+
+    @staticmethod
+    def _bisection(answer, lo, hi):
+        """The Ms a plain bisection over [lo, hi] probes, hi qualifying unprobed."""
+        probed = [lo]
+        if answer <= lo:
+            return probed
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            probed.append(mid)
+            hi, lo = (mid, lo) if mid >= answer else (hi, mid)
+        return probed
+
+    def test_every_start_finds_the_answer_within_the_round_budget(self):
+        n, min_m = self.N, self.MIN_M
+        for answer in range(min_m, n + 1):
+            for start in [None, min_m - 2, min_m - 1, *range(min_m, n + 1), n + 1]:
+                got, probed = self._search(answer, start)
+                assert got == answer, (answer, start)
+                assert len(probed) == len(set(probed)) and n not in probed, (answer, start, probed)
+                if start is not None and min_m < start < n:
+                    budget = 2 * math.ceil(math.log2(abs(answer - start) + 1)) + 2
+                    assert probed[0] == start
+                    assert len(probed) <= budget, (answer, start, probed)
+
+    def test_without_a_start_the_probes_are_plain_bisection(self):
+        n, min_m = self.N, self.MIN_M
+        for answer in range(min_m, n + 1):
+            for start in (None, min_m, n, 0, n + 5):
+                assert self._search(answer, start)[1] == self._bisection(answer, min_m, n), (answer, start)
+
+    def test_an_answer_below_a_qualifying_start_is_found(self):
+        # qualifies from M = 3 on: 9, 8 and 6 qualify, 2 fails, then 4 and 3 bisect
+        got, probed = self._search(3, 9)
+        assert got == 3
+        assert probed == [9, 8, 6, 2, 4, 3]
+
+    def test_a_failing_start_steps_up_and_never_probes_n(self):
+        # 33, 34 and 36 fail; the next step would land on N = 40, which
+        # qualifies unprobed, so 38 and 39 bisect (36, 40)
+        got, probed = self._search(self.N, self.N - 7)
+        assert got == self.N
+        assert probed == [33, 34, 36, 38, 39]
+
+    @pytest.mark.parametrize("strategy", ["uniform_endpoints", "random"])
+    def test_bound_start_matches_bisection_on_the_oracle(self, strategy, clarke_w2n100, spectrum_w2n100):
+        cov = build_covariance(clarke_w2n100)
+        self._check_parity(
+            lambda obs: dense_mmse(cov, obs), spectrum_w2n100, strategy, clarke_w2n100.N, trials=50
+        )
+
+    def test_bound_start_matches_bisection_on_the_smoother(self):
+        model = ClarkeModel(W=2.0, N=60)
+        fitted = fit_clarke_model(model, 10)
+        self._check_parity(
+            lambda obs: kalman_smooth(fitted, obs, model.N), eigen_spectrum(build_covariance(model)),
+            "uniform_endpoints", model.N, trials=60,
+        )
+
+    @staticmethod
+    def _check_parity(estimator, spectrum, strategy, n, trials):
+        min_m = 2 if strategy == "uniform_endpoints" else 1
+        rounds = {"bound": 0, "plain": 0}
+
+        def search(eps, seed, start):
+            def truth_sampler(round_seed, count):
+                rounds["plain" if start is None else "bound"] += 1
+                return sample_exact(spectrum, round_seed, count)
+
+            return empirical_min_observations(
+                eps, trials, seed, estimator, truth_sampler, strategy, n, min_m=min_m, start=start
+            )
+
+        for eps in (1e-1, 1e-2, 1e-3):
+            bound = min_observations_bound(spectrum, eps)
+            for seed in (1, 2, 3):
+                assert search(eps, (91, seed), bound) == search(eps, (91, seed), None), (eps, seed)
+        assert rounds["bound"] < rounds["plain"]
 
 
 class TestNmse:
