@@ -20,15 +20,16 @@ rows and hence every realization's bits.
 Rows are simulated _CHUNK_ROWS (1024) at a time in two stages: the row
 normals are drawn, then each model drives its recursion with them
 (``_simulate``).  A chunk's realizations live in one time-major buffer,
-newest port first, so each port's p lags are p consecutive rows: a step is
-one contiguous multiply by a coefficient block and one reduce over a stack
-that holds eps_k above the p products.  The reduce adds eps_k first and
-then the lags newest first, one row at a time; that summation order is
-part of the contract, as it fixes every bit of a realization.  A lone row
-is reduced over two columns, a zeroed one beside it, since numpy sums a
-one-column stack pairwise.  The chunk is sized so that a step's working
-set stays in L2: at 8192 rows it spills, and a step costs about 1.8x as
-much per row (p = 20).
+newest port first, padded to a multiple of _ROW_ALIGN (8) columns whose pad
+is zeroed, so each port's p lags are p consecutive contiguous rows: a step
+is one BLAS ``zgemv`` that adds the lag window times alpha into the
+innovation already in the port's row, for every realization at once.  The
+kernel computes each realization from its own row of the window, and the
+padding runs every real row through its blocked path, so a row's bits
+depend only on its own stream: not on the chunk, the row count, the models
+sharing the rows, or one versus two BLAS threads.  The chunk is sized so
+that a step's lag window stays in L2: at p = 40 and 4096 rows it spills,
+and a step costs about 1.9x as much per row.
 The draw keys one Philox per row from the row's seed through numpy's own
 SeedSequence (``rng._philox_key``), so row i reads the normals of
 ``make_rng(derive(seed, i))`` bit for bit without building a Philox and a
@@ -64,10 +65,13 @@ from .interpolation import _rowwise
 from .rng import SQRT_HALF, _philox_key, complex_standard_normal, derive, make_rng
 from .stats import max_gain
 
-# rows simulated per chunk: a recursion step touches the coefficient block,
-# the stack and the lag window, about 1 MB at p = 20, which stays in L2.
+# rows simulated per chunk: a recursion step reads a lag window of p rows,
+# 0.65 MB at p = 40, which stays in L2 (a 2 MB one spills at 4096 rows).
 # Not a tuning knob, and the bits do not depend on it
 _CHUNK_ROWS = 1024
+# a chunk's realizations are padded to a multiple of this many columns, so
+# that zgemv runs every real row through its blocked path (see ``drive``)
+_ROW_ALIGN = 8
 # rows whose normals are drawn and lifted row-major before each transpose
 _DRAW_ROWS = 256
 # impulse-response rows folded into the burn-in factor per QR update; fixed,
@@ -91,18 +95,12 @@ class SimulationConfig:
 
 
 class _Work:
-    """One thread's buffers for driving a model over a chunk of up to ``width`` rows.
+    """One thread's buffers for driving a model over a chunk of up to ``width`` rows."""
 
-    At least two columns wide, so that a lone row still reduces over two
-    (see ``drive``).
-    """
-
-    def __init__(self, length: int, width: int, p_max: int):
-        cols = max(width, 2)
+    def __init__(self, length: int, width: int):
         self.draws = np.empty((min(_DRAW_ROWS, width), length), dtype=np.complex128)
-        self.ports = np.empty((length, cols), dtype=np.complex128)
-        self.coefs = np.empty((p_max, cols), dtype=np.complex128)
-        self.stack = np.empty((p_max + 1, cols), dtype=np.complex128)
+        # flat, so that each chunk's (length, cols) view is contiguous
+        self.ports = np.empty(length * _padded(width), dtype=np.complex128)
 
     def drive(
         self,
@@ -122,22 +120,27 @@ class _Work:
         row.  The rest, scaled by sigma_eps, drive the recursion
         g_k = sum_i alpha_i g_{k-i} + eps_k over ports p+1..N.
 
-        The buffer is time-major and newest first: row r holds port
-        max(N, p) - r, so port k's lag window [g_{k-1}, ..., g_{k-p}] is the
-        p rows below its own.  Each step multiplies the window by a (p, rows)
-        block filled with alpha once per call, into rows 1..p of a stack whose
-        row 0 holds eps_k, and reduces the stack over its first axis into
-        port k's row.  numpy adds along a non-fast axis one row at a time, so
-        g_k = eps_k + alpha_1 g_{k-1} + ... + alpha_p g_{k-p} in that order,
-        whatever the number of rows, and each realization's trajectory is
-        bit-identical however many realizations share the chunk.  A stack of
-        one column would make that axis the fast one, which numpy sums
-        pairwise; a lone row therefore runs with a zeroed spare column.
+        The buffer is time-major and newest first, (max(N, p), cols) with
+        cols = ``rows`` rounded up to a multiple of _ROW_ALIGN and the pad
+        columns zeroed: row r holds port max(N, p) - r, so port k's lag
+        window [g_{k-1}, ..., g_{k-p}] is the p rows below its own, and both
+        are contiguous.  Each step is one BLAS ``zgemv`` that adds the window
+        times alpha into the innovation eps_k already in port k's row, for
+        every realization of the chunk at once.  The window is passed as its
+        (cols, p) Fortran-ordered transpose and port k's row as ``y``, both
+        without a copy: f2py would copy a strided array, and a copied ``y``
+        would lose the in-place write.  The kernel computes each entry of
+        ``y`` from that entry's own row of the window, and with cols a
+        multiple of _ROW_ALIGN every real row takes its blocked path, so a
+        realization's bits depend only on its own normals: not on the
+        chunk, the row count, the models sharing the rows, or the number of
+        BLAS threads.
         """
         p = model.p
         scale = np.sqrt(model.sigma_eps2)
-        cols = max(rows, 2)  # a lone row runs beside a zeroed spare column
-        ports = self.ports[:, :cols]
+        length = self.draws.shape[1]
+        cols = _padded(rows)
+        ports = self.ports[: length * cols].reshape(length, cols)
         ports[:, rows:] = 0.0
         in_time = ports[::-1]
         for first in range(0, rows, self.draws.shape[0]):
@@ -146,15 +149,16 @@ class _Work:
             block[:, :p] = _rowwise(lift, source[:, :p])
             np.multiply(source[:, p:], scale, out=block[:, p:])
             in_time[:, first : first + block.shape[0]] = block.T
-        coefs, stack = self.coefs[:p, :cols], self.stack[: p + 1, :cols]
-        coefs[...] = model.alpha[:, None]
-        last = ports.shape[0] - 1
+        last = length - 1
         for k in range(p, n):
             row = last - k  # port k + 1; its lags are rows row + 1 .. row + p
-            stack[0] = ports[row]
-            np.multiply(coefs, ports[row + 1 : row + 1 + p], out=stack[1:])
-            np.add.reduce(stack, axis=0, out=ports[row])
+            blas.zgemv(1.0, ports[row + 1 : row + 1 + p].T, model.alpha, beta=1.0, y=ports[row], overwrite_y=1)
         return in_time[:n, :rows].T
+
+
+def _padded(rows: int) -> int:
+    """``rows`` rounded up to a multiple of _ROW_ALIGN."""
+    return -(-rows // _ROW_ALIGN) * _ROW_ALIGN
 
 
 def _draw(block: np.ndarray, seed: "tuple[int, ...]", first: int) -> np.ndarray:
@@ -205,7 +209,7 @@ def _simulate(
     threads = max(1, min(workers, len(models)))
     free: "queue.SimpleQueue[_Work]" = queue.SimpleQueue()
     for _ in range(threads):
-        free.put(_Work(length, width, max(m.p for m in models)))
+        free.put(_Work(length, width))
     shared = np.empty((width, length), dtype=np.complex128) if len(models) > 1 else None
     with ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
         for start in range(0, count, width):
@@ -272,7 +276,12 @@ def simulate_max_gains(
     gains = np.empty((len(models), count))
 
     def keep(m, start, block):
-        # a few rows at a time, so the |g| temporaries stay small
+        # a few rows at a time, so the |g| temporaries stay small.  numpy's
+        # abs walks several rows along the contiguous row axis, but a lone
+        # row along its ports, which run backwards through the buffer and
+        # round differently; a lone row is copied to read as a batch row
+        if block.shape[0] == 1:
+            block = block.copy()
         for first in range(0, block.shape[0], _DRAW_ROWS):
             rows = block[first : first + _DRAW_ROWS]
             gains[m, start + first : start + first + rows.shape[0]] = max_gain(rows)

@@ -1,5 +1,9 @@
+import os
+import pickle
+import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +15,7 @@ from faschan.generator import (
     _CHUNK_ROWS,
     _DRAW_ROWS,
     SimulationConfig,
+    _Work,
     burned_in_factor,
     simulate_batch,
     simulate_max_gains,
@@ -105,45 +110,137 @@ class TestRowStreams:
 
 
 def recursion_reference(model, realization, normals):
-    """Ports p+1..N of ``realization`` recomputed from its first p by the stated summation order.
+    """Ports p+1..N of ``realization`` recomputed from its first p in a fixed summation order.
 
     g_k starts as eps_k = sqrt(sigma_eps2) * normal_k; the products
     alpha_i g_{k-i}, each rounded on its own, are added one at a time,
-    newest lag first.
+    newest lag first: the order of the generator's former multiply and
+    reduce.  The last axis is the port axis, so a (rows, N) block of
+    realizations is recomputed row by row at once.
     """
     p = model.p
     g = realization.copy()
-    eps = normals[p:] * np.sqrt(model.sigma_eps2)
-    for k in range(p, g.size):
-        products = model.alpha * g[k - p : k][::-1]
-        acc = eps[k - p]
-        for term in products:
-            acc = acc + term
-        g[k] = acc
+    eps = normals[..., p:] * np.sqrt(model.sigma_eps2)
+    for k in range(p, g.shape[-1]):
+        products = model.alpha * g[..., k - p : k][..., ::-1]
+        acc = eps[..., k - p]
+        for i in range(p):
+            acc = acc + products[..., i]
+        g[..., k] = acc
     return g
 
 
-class TestSummationOrder:
-    # the order of the adds is part of the contract: it fixes every bit of a
-    # realization, so no chunking, sharing or vectorisation may change it.
-    # With p + 1 > 8 terms a pairwise sum would round differently, which a
-    # lone row risks (a one-column reduce runs along numpy's fast axis)
+def extended_recursion(model, realization, normals):
+    """Ports p+1..N of ``realization`` recomputed from its first p in ``np.clongdouble``.
+
+    The same start and the same float64 innovations as the generator's, so
+    its distance to a realization is that realization's rounding error alone.
+    """
+    p = model.p
+    g = realization.astype(np.clongdouble)
+    eps = (normals[..., p:] * np.sqrt(model.sigma_eps2)).astype(np.clongdouble)
+    newest_last = model.alpha[::-1].astype(np.clongdouble)
+    for k in range(p, g.shape[-1]):
+        g[..., k] = eps[..., k - p] + g[..., k - p : k] @ newest_last
+    return g
+
+
+def row_error(got, exact):
+    """Largest over rows of max_k |got - exact| / max_k |exact|."""
+    diff = np.abs(got - exact).astype(float).max(axis=-1)
+    return float(np.max(diff / np.abs(exact).astype(float).max(axis=-1)))
+
+
+def drive_alone(model, config, row):
+    """Row ``row`` of a batch, driven as a one-row chunk from its own derived normals."""
+    length = max(config.N, model.p)
+    lift = np.ascontiguousarray(burned_in_factor(model, config.B).conj().T[::-1])
+    normals = complex_standard_normal(make_rng(derive(config.seed, row)), length)
+    block = _Work(length, 1).drive(model, lift, config.N, 1, lambda first, scratch: normals[None, :])
+    return block[0].copy(), normals
+
+
+@pytest.fixture(scope="module")
+def w5_fits():
+    clarke = ClarkeModel(W=5.0, N=200)
+    return {p: fit_clarke_model(clarke, p) for p in (10, 20, 37, 40)}
+
+
+class TestRowInvariance:
+    # a row's bits depend on its own stream alone: not on the chunk it lands
+    # in, the row count, or the models sharing its normals.  The production
+    # fit (p=37) has a dense start factor and 37 lags per step
 
     @pytest.fixture(params=["production_fit", "complex_root"])
-    def case(self, request, complex_root_model):
+    def case(self, request, complex_root_model, w5_fits):
         if request.param == "production_fit":
-            return fit_clarke_model(ClarkeModel(W=5.0, N=200), 37), 200, 1000
-        return complex_root_model, 40, 20
+            return w5_fits[37], (w5_fits[10], w5_fits[20]), 200, 1000
+        others = tuple(make_consistent_model(p, seed=(15, p), max_mod=0.8) for p in (1, 5))
+        return complex_root_model, others, 40, 20
 
-    @pytest.mark.parametrize("count", [1, 2, _CHUNK_ROWS + 1])
-    def test_batch_rows_follow_the_reference_recursion(self, case, count):
-        model, N, B = case
+    @pytest.mark.parametrize("count", [1, 2, 7, _CHUNK_ROWS + 1, _CHUNK_ROWS + 3])
+    def test_rows_equal_the_row_driven_alone(self, case, count):
+        model, (first, last), N, B = case
         config = SimulationConfig(N=N, B=B, seed=(14, count))
         batch = simulate_batch(model, config, count)
-        # the last two rows meet the last chunk, which at _CHUNK_ROWS + 1 is one row
-        for row in range(count) if count <= 2 else (0, count - 2, count - 1):
-            normals = complex_standard_normal(make_rng(derive(config.seed, row)), N)
-            np.testing.assert_array_equal(batch[row], recursion_reference(model, batch[row], normals))
+        gains = simulate_max_gains([first, model, last], config, count)[1]
+        # both sides of every chunk boundary; at _CHUNK_ROWS + 1 the last
+        # chunk is one row, at _CHUNK_ROWS + 3 a short one
+        for row in range(count) if count <= 7 else (0, _CHUNK_ROWS - 1, _CHUNK_ROWS, count - 1):
+            alone, normals = drive_alone(model, config, row)
+            np.testing.assert_array_equal(batch[row], alone)
+            np.testing.assert_array_equal(gains[row], max_gain(alone[None, :])[0])
+            # a step whose write were lost would leave the row its innovations
+            # alone, in the batch and driven alone alike
+            assert row_error(alone, extended_recursion(model, alone, normals)) < 1e-6
+
+    def test_rows_as_accurate_as_the_reference_recursion(self, w5_fits):
+        # measured against an extended-precision recursion from the same start
+        # and innovations, the library's rows stay within twice the rounding
+        # error of the fixed-order reference
+        rows = 512
+        for p, model in w5_fits.items():
+            config = SimulationConfig(N=200, B=1000, seed=(16, p))
+            batch = simulate_batch(model, config, rows)
+            normals = np.stack(
+                [complex_standard_normal(make_rng(derive(config.seed, r)), config.N) for r in range(rows)]
+            )
+            exact = extended_recursion(model, batch, normals)
+            reference = row_error(recursion_reference(model, batch, normals), exact)
+            assert 0.0 < row_error(batch, exact) <= 2.0 * reference, p
+
+
+# hashes one batch and one three-model max-gain call of the pickled fits
+HASH_SCRIPT = """
+import hashlib, pickle, sys
+from faschan.generator import _CHUNK_ROWS, SimulationConfig, simulate_batch, simulate_max_gains
+with open(sys.argv[1], "rb") as fh:
+    models = pickle.load(fh)
+config = SimulationConfig(N=200, B=1000, seed=17)
+count = _CHUNK_ROWS + 3
+print(hashlib.sha256(simulate_batch(models[-1], config, count).tobytes()).hexdigest())
+print(hashlib.sha256(simulate_max_gains(models, config, count).tobytes()).hexdigest())
+"""
+
+
+def test_bits_do_not_depend_on_the_blas_thread_count(w5_fits, tmp_path):
+    # OpenBLAS splits a large zgemv over its threads; every row must still
+    # round as on one thread.  The fits are made here, so only the generator
+    # runs under each thread count
+    path = tmp_path / "models.pkl"
+    path.write_bytes(pickle.dumps([w5_fits[p] for p in (10, 20, 37)]))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", HASH_SCRIPT, str(path)], env=env, capture_output=True, text=True, timeout=300
+        )
+        assert done.returncode == 0, done.stderr[-2000:]
+        digests.append(done.stdout.split())
+    assert len(digests[0]) == 2
+    assert digests[0] == digests[1]
 
 
 class TestSimulateBatch:
@@ -151,7 +248,8 @@ class TestSimulateBatch:
     def test_rows_reproducible_in_isolation(self, case):
         # row i is a function of its own derived stream alone: its first p
         # ports are the lone matrix-vector product of the start factor on the
-        # stream's first p normals, and the rest follow the recursion.  The
+        # stream's first p normals, and the whole row equals the row driven
+        # alone.  The
         # production fit (p=37) has a dense start factor, whose product a
         # shared gemm would round differently from a lone row's
         if case == "toy":
@@ -168,11 +266,12 @@ class TestSimulateBatch:
             (_CHUNK_ROWS + 1, (0, _CHUNK_ROWS - 1, _CHUNK_ROWS)),
             (_CHUNK_ROWS + 3, (0, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 2)),
         ):
-            batch = simulate_batch(model, SimulationConfig(N=N, B=B, seed=seed), count)
+            config = SimulationConfig(N=N, B=B, seed=seed)
+            batch = simulate_batch(model, config, count)
             for row in rows:
-                normals = complex_standard_normal(make_rng(derive(seed, row)), N)
+                alone, normals = drive_alone(model, config, row)
                 np.testing.assert_array_equal(batch[row, :p], lift @ normals[:p])
-                np.testing.assert_array_equal(batch[row], recursion_reference(model, batch[row], normals))
+                np.testing.assert_array_equal(batch[row], alone)
 
     def test_working_memory_independent_of_count(self):
         # beyond its own output, a batch holds one chunk's buffers whatever its size
