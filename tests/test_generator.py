@@ -245,7 +245,7 @@ def test_bits_do_not_depend_on_the_blas_thread_count(w5_fits, tmp_path):
 
 class TestSimulateBatch:
     @pytest.mark.parametrize("case", ["toy", "production_fit"])
-    def test_rows_reproducible_in_isolation(self, case):
+    def test_rows_reproducible_in_isolation(self, case, w5_fits):
         # row i is a function of its own derived stream alone: its first p
         # ports are the lone matrix-vector product of the start factor on the
         # stream's first p normals, and the whole row equals the row driven
@@ -255,7 +255,7 @@ class TestSimulateBatch:
         if case == "toy":
             model, N, B = make_consistent_model(1, roots=[0.3]), 25, 10
         else:
-            model, N, B = fit_clarke_model(ClarkeModel(W=5.0, N=200), 37), 200, 1000
+            model, N, B = w5_fits[37], 200, 1000
         p, seed = model.p, 6
         # F^H e is [g_{B+p}, ..., g_{B+1}]; its rows reversed give ports 1..p in order
         lift = np.ascontiguousarray(burned_in_factor(model, B).conj().T[::-1])
