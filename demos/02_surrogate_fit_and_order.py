@@ -12,9 +12,7 @@ import numpy as np
 from faschan import (
     ClarkeModel,
     SimulationConfig,
-    build_covariance,
     check_stability,
-    eigen_spectrum,
     fit_clarke_model,
     ks_distance,
     max_gain,
@@ -24,8 +22,7 @@ from faschan import (
 )
 
 model = ClarkeModel(W=1.0, N=40)
-spectrum = eigen_spectrum(build_covariance(model))
-reference = max_gain(sample_exact(spectrum, seed=7, count=4000))
+reference = max_gain(sample_exact(model.spectrum, seed=7, count=4000))
 
 # the surrogate's slowest mode mixes at a rate set by the aperture, not by
 # N, so this short array wants a generous burn-in multiple

@@ -12,8 +12,6 @@ import numpy as np
 from faschan import (
     ClarkeModel,
     SimulationConfig,
-    build_covariance,
-    eigen_spectrum,
     empirical_cdf_max_gain,
     fit_clarke_model,
     max_gain,
@@ -25,7 +23,7 @@ from faschan import (
 model = ClarkeModel(W=1.0, N=40)
 fitted = fit_clarke_model(model, 6)
 
-exact_gains = max_gain(sample_exact(eigen_spectrum(build_covariance(model)), seed=3, count=8000))
+exact_gains = max_gain(sample_exact(model.spectrum, seed=3, count=8000))
 direct_gains = max_gain(simulate_batch(fitted, SimulationConfig(N=40, B=200, seed=4), 8000))
 grid = np.quantile(exact_gains, [0.01, 0.05, 0.2, 0.5, 0.8, 0.95])
 

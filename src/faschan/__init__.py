@@ -14,7 +14,6 @@ from .arfit import (
     check_stability,
     fit_clarke_model,
     select_order,
-    unit_noise_gain,
 )
 from .correlation import (
     ClarkeModel,

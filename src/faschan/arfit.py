@@ -1,11 +1,16 @@
 """Complex AR(p) surrogate fitted by correlation matching.
 
+A surrogate is its law, ``ArpModel(alpha, sigma_eps2)``: the coefficients
+and the innovation variance.  Its stability report, stationary factor and
+induced lags all follow from those two and are computed on demand.
+
 The production fit (``fit_clarke_model``) imposes the recursion
 r(l) = sum_i a_i r(l-i) in least squares over the target lags l = 1..2p
 (capped at N-1), then sets the innovation variance so that the stationary
-per-port variance is r(0) exactly: sigma^2 = r(0) / ``unit_noise_gain``(a).
-A model is accepted only if every root of 1 - sum_i a_i z^-i lies inside the
-unit circle with margin.
+per-port variance is r(0) exactly: sigma^2 = r(0) / G(a), with the unit-noise
+gain G(a) = (1/2pi) integral dw / |A(e^{jw})|^2 taken as a mean over a grid
+sized from the roots (``_inverse_power``).  A model is accepted only if every
+root of 1 - sum_i a_i z^-i lies inside the unit circle with margin.
 
 The fitted process's own autocorrelation is the inverse transform of its
 power spectrum sigma^2 / |A(e^{jw})|^2, evaluated on the same grid that
@@ -21,7 +26,8 @@ drive every candidate (common random numbers), so candidates differ by
 model rather than by stream noise.  Both samples are drawn only in their
 max-gain forms, ``correlation.sample_exact_max_gains`` and
 ``generator.simulate_max_gains``, which reduce a chunk of rows at a time, so
-memory does not grow with the sample size.
+memory does not grow with the sample size.  The reference reads the exact
+model's cached ``ClarkeModel.spectrum``.
 """
 
 from __future__ import annotations
@@ -31,13 +37,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .correlation import (
-    ClarkeModel,
-    ToeplitzCovariance,
-    build_covariance,
-    eigen_spectrum,
-    sample_exact_max_gains,
-)
+from .correlation import ClarkeModel, ToeplitzCovariance, sample_exact_max_gains
 from .errors import FitError, UnstableModelError
 from .rng import derive
 from .stats import ks_distance
@@ -48,7 +48,7 @@ DELTA_STAB = 1e-6
 TIE_TOL = 1e-4
 # lags matched per model order by the aperture-window fit
 _WINDOW_FACTOR = 2
-# unit_noise_gain grid: at least this many e-folds of the slowest root's
+# unit-noise gain grid: at least this many e-folds of the slowest root's
 # decay per grid length, within [_GRID_MIN, _GRID_MAX] points
 _GRID_DECAYS = 40
 _GRID_MIN = 1 << 12
@@ -62,30 +62,23 @@ _CANDIDATE_BRANCH = 1
 
 @dataclass(frozen=True)
 class ArpModel:
-    """Fitted AR(p) coefficients, innovation variance, and the matched lags."""
+    """AR(p) law: coefficients alpha_1..alpha_p and innovation variance sigma_eps2."""
 
     alpha: np.ndarray
     sigma_eps2: float
-    p: int
-    source_lags: np.ndarray
 
     def __post_init__(self):
         alpha = np.asarray(self.alpha, dtype=np.complex128).reshape(-1).copy()
-        lags = np.asarray(self.source_lags, dtype=np.complex128).reshape(-1).copy()
-        if self.p < 1 or alpha.size != self.p:
-            raise ValueError(f"alpha must have p >= 1 entries, got p={self.p}, len={alpha.size}")
-        if lags.size != self.p + 1:
-            raise ValueError(f"source_lags must have p+1 entries, got {lags.size}")
+        if alpha.size < 1:
+            raise ValueError("alpha must have p >= 1 entries, got none")
         if not self.sigma_eps2 >= 0:
             raise ValueError(f"sigma_eps2 must be >= 0, got {self.sigma_eps2}")
         alpha.setflags(write=False)
-        lags.setflags(write=False)
         object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "source_lags", lags)
 
     @property
-    def r0(self) -> float:
-        return float(self.source_lags[0].real)
+    def p(self) -> int:
+        return self.alpha.size
 
     @cached_property
     def stability(self) -> "StabilityReport":
@@ -145,7 +138,7 @@ def _stability(alpha: np.ndarray) -> StabilityReport:
 
 
 def _gain_grid_size(margin: float) -> int:
-    """FFT length for unit_noise_gain: the smallest power of two >= 40 / margin.
+    """FFT length of the unit-noise gain grid: the smallest power of two >= 40 / margin.
 
     Clamped to [2^12, 2^21]; a margin <= 0 (a root on or outside the unit
     circle) gets the largest grid.
@@ -157,25 +150,19 @@ def _gain_grid_size(margin: float) -> int:
 
 
 def _inverse_power(alpha: np.ndarray, margin: float, min_size: int = 1) -> np.ndarray:
-    """1 / |A(e^{jw})|^2 on the unit_noise_gain grid of root margin ``margin``, grown to >= min_size points."""
+    """1 / |A(e^{jw})|^2 on the gain grid of root margin ``margin``, grown to >= min_size points.
+
+    Its mean is the unit-noise gain (1/2pi) integral dw / |A(e^{jw})|^2, the
+    stationary per-sample variance of the filter driven by unit white noise.
+    That mean is exactly the sum of the filter's unit-noise autocorrelation
+    at lags 0, +-nfft, +-2 nfft, ..., so it overshoots the true gain only by
+    the aliased lags, which decay like (1 - margin)^nfft.  With nfft from
+    ``_gain_grid_size`` that factor is below e^-40 and the grid mean is as
+    exact as round-off allows.
+    """
     nfft = max(_gain_grid_size(margin), 1 << (min_size - 1).bit_length())
     transfer = np.fft.fft(np.concatenate([[1.0 + 0.0j], -np.asarray(alpha)]), n=nfft)
     return 1.0 / np.abs(transfer) ** 2
-
-
-def unit_noise_gain(alpha: np.ndarray) -> float:
-    """Stationary per-sample variance of the AR filter driven by unit white noise.
-
-    Evaluates (1/2pi) integral dw / |A(e^{jw})|^2 as the mean over an nfft-point
-    FFT grid.  That mean is exactly the sum of the filter's unit-noise
-    autocorrelation at lags 0, +-nfft, +-2 nfft, ..., so it overshoots the
-    true gain only by the aliased lags, which decay like (1 - margin)^nfft
-    for root margin 1 - max|root|.  The grid is sized from the margin:
-    nfft is the smallest power of two >= 40 / margin, so that decay factor
-    is below e^-40 and the grid mean is as exact as round-off allows.  It is
-    clamped to [2^12, 2^21], and margins <= 0 use 2^21.
-    """
-    return float(np.mean(_inverse_power(alpha, _stability(alpha).margin)))
 
 
 def fit_clarke_model(model: ClarkeModel, p: int) -> ArpModel:
@@ -200,9 +187,9 @@ def fit_clarke_model(model: ClarkeModel, p: int) -> ArpModel:
         design[row] = two_sided[start : start - p : -1]
     alpha = np.linalg.lstsq(design, lags[1:], rcond=None)[0]
     report = _stability(alpha)
-    # unit_noise_gain(alpha), on the grid of the roots found here
+    # the unit-noise gain, on the grid of the roots found here
     sigma_eps2 = float(lags[0].real) / float(np.mean(_inverse_power(alpha, report.margin)))
-    fitted = ArpModel(alpha=alpha, sigma_eps2=max(sigma_eps2, 0.0), p=p, source_lags=lags[: p + 1])
+    fitted = ArpModel(alpha=alpha, sigma_eps2=max(sigma_eps2, 0.0))
     # the model's alpha is a copy of these coefficients, so their report is its own
     fitted.__dict__["stability"] = report
     return fitted
@@ -220,7 +207,7 @@ def arp_induced_covariance(model: ArpModel, N: int) -> ToeplitzCovariance:
     """Toeplitz covariance of N consecutive samples of the fitted process.
 
     The lags are the process's own: r(l) = sigma^2 / nfft * sum_k S_k e^{+j w_k l}
-    with S = 1 / |A|^2 on unit_noise_gain's grid (grown to at least 2N points),
+    with S = 1 / |A|^2 on the unit-noise gain grid (grown to at least 2N points),
     which is the inverse DFT of the power spectrum.  Like the grid mean, each
     lag carries only the aliased lags l +- nfft, ..., below e^-20 r(0) for
     l <= nfft / 2.  The spectrum of an unstable model has no inverse
@@ -264,8 +251,7 @@ def select_order(
     if mc_samples < 1000:
         raise ValueError(f"mc_samples must be >= 1000, got {mc_samples}")
 
-    spectrum = eigen_spectrum(build_covariance(model))
-    reference = sample_exact_max_gains(spectrum, derive(seed, _REF_BRANCH), mc_samples)
+    reference = sample_exact_max_gains(model.spectrum, derive(seed, _REF_BRANCH), mc_samples)
     fits = [fit_clarke_model(model, p) for p in range(1, p_max + 1)]
     stable = [fitted for fitted in fits if check_stability(fitted).stable]
     if not stable:

@@ -24,7 +24,7 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import Executor, Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Callable
@@ -36,18 +36,8 @@ from .errors import FitError, NumericalError, UnstableModelError
 from .rng import complex_standard_normal, derive, make_rng
 
 _STRATEGIES = ("random", *interpolation.UNIFORM_STRATEGIES)
-
-
-class _Inline(Executor):
-    """The one-worker executor: runs each task as it is submitted, on the calling thread."""
-
-    def submit(self, fn, /, *args, **kwargs) -> Future:
-        future = Future()
-        try:
-            future.set_result(fn(*args, **kwargs))
-        except Exception as exc:
-            future.set_exception(exc)
-        return future
+# failures that surface once a computation is underway: exit 1, not 2
+_NUMERICAL = (FitError, UnstableModelError, NumericalError, np.linalg.LinAlgError)
 
 
 def max_workers() -> int:
@@ -309,9 +299,9 @@ def _threshold_grid(args, spectrum) -> np.ndarray:
 
 
 def _estimators(model: correlation.ClarkeModel, fitted: "arfit.ArpModel | None"):
-    """The exact covariance and the two reconstructions of ``model``'s ports.
+    """The two reconstructions of ``model``'s ports.
 
-    Returns ``(cov, oracle, kalman)``: ``oracle(obs)`` conditions on the
+    Returns ``(oracle, kalman)``: ``oracle(obs)`` conditions on the
     exact covariance, ``kalman(obs)`` smooths on the fitted surrogate from its
     stationary factor, and is None without a surrogate.  The factor is built
     here, so the first timed smoother call pays for smoothing alone.
@@ -322,13 +312,13 @@ def _estimators(model: correlation.ClarkeModel, fitted: "arfit.ArpModel | None")
         return interpolation.dense_mmse(cov, obs)
 
     if fitted is None:
-        return cov, oracle, None
+        return oracle, None
     fitted.stationary_factor  # cached on the model
 
     def kalman(obs):
         return interpolation.kalman_smooth(fitted, obs, model.N)
 
-    return cov, oracle, kalman
+    return oracle, kalman
 
 
 def _observed_values(truth, indices, sigma_v2, seed) -> np.ndarray:
@@ -400,20 +390,18 @@ def cmd_cdf(args) -> int:
     pilot), each order's direct side (fit, then the direct column) and each
     particle threshold (``smc_cdf`` on the same pool) are tasks.  Every task
     draws from its own derived seed, so the output does not depend on the
-    worker count; with one worker the tasks run inline, in submission order.
+    worker count.  No task waits on another, so one worker cannot deadlock.
     """
     _require(args, ["W", "N", "p"])
     model = _clarke(args)
     orders = args.p
     seed = args.seed
     mc = args.mc
-    workers = max_workers()
-    with ThreadPoolExecutor(max_workers=workers) if workers > 1 else _Inline() as pool:
+    with ThreadPoolExecutor(max_workers=max_workers()) as pool:
 
         def exact_side():
-            spectrum = correlation.eigen_spectrum(correlation.build_covariance(model))
-            exact = pool.submit(correlation.sample_exact_max_gains, spectrum, derive(seed, 0), mc)
-            return _threshold_grid(args, spectrum), exact
+            exact = pool.submit(correlation.sample_exact_max_gains, model.spectrum, derive(seed, 0), mc)
+            return _threshold_grid(args, model.spectrum), exact
 
         def direct_side(p):
             fitted = arfit.fit_clarke_model(model, p)
@@ -456,9 +444,8 @@ def cmd_interpolate(args) -> int:
     _check_observed("--M", args.M, model.N, [args.strategy])
     fitted, _ = _fit_model(args, model)
     seed = args.seed
-    cov, oracle, kalman = _estimators(model, fitted)
-    spectrum = correlation.eigen_spectrum(cov)
-    truth = correlation.sample_exact(spectrum, derive(seed, 0), 1)[0]
+    oracle, kalman = _estimators(model, fitted)
+    truth = correlation.sample_exact(model.spectrum, derive(seed, 0), 1)[0]
     indices = interpolation.port_select(args.strategy, model.N, args.M, derive(seed, 1))
     values = _observed_values(truth, indices, args.sigma_v2, derive(seed, 2))
     obs = interpolation.ObservationSet(indices=indices, values=values, noise_var=args.sigma_v2)
@@ -494,8 +481,8 @@ def cmd_bench(args) -> int:
     rows = []
     for n, m_obs in zip(args.N, observed):
         model = correlation.ClarkeModel(W=args.W, N=n, sigma2=args.sigma2)
-        cov, oracle, kalman = _estimators(model, arfit.fit_clarke_model(model, args.p))
-        truths = correlation.sample_exact(correlation.eigen_spectrum(cov), derive(seed, n), trials)
+        oracle, kalman = _estimators(model, arfit.fit_clarke_model(model, args.p))
+        truths = correlation.sample_exact(model.spectrum, derive(seed, n), trials)
         for s_idx, strategy in enumerate(args.strategies):
             nm_k, nm_o, t_kalman = np.zeros((3, trials))
             l_max = np.zeros(trials, dtype=int)
@@ -537,9 +524,8 @@ def cmd_bound(args) -> int:
     fitted = None
     if args.p is not None or args.p_max is not None:
         fitted, _ = _fit_model(args, model)
-    cov, oracle, kalman = _estimators(model, fitted)
-    spectrum = correlation.eigen_spectrum(cov)
-    truth_sampler = functools.partial(correlation.sample_exact, spectrum)
+    oracle, kalman = _estimators(model, fitted)
+    truth_sampler = functools.partial(correlation.sample_exact, model.spectrum)
     min_m = _least_observed([args.strategy])
 
     def empirical(eps, estimator, trial_seed, bound):
@@ -550,7 +536,7 @@ def cmd_bound(args) -> int:
 
     rows = []
     for idx, eps in enumerate(args.eps):
-        bound = interpolation.min_observations_bound(spectrum, eps)
+        bound = interpolation.min_observations_bound(model.spectrum, eps)
         m_oracle = empirical(eps, oracle, derive(seed, idx, 0), bound)
         m_kalman = -1 if kalman is None else empirical(eps, kalman, derive(seed, idx, 1), bound)
         rows.append((eps, bound, m_oracle, m_kalman))
@@ -603,14 +589,11 @@ def main(argv=None) -> int:
     try:
         _resolve(args)
         return args.func(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (*_NUMERICAL, ValueError, OSError) as exc:
+        # LinAlgError is also a ValueError, so the numerical test decides the code
         json.dump({"error": str(exc), "type": type(exc).__name__}, sys.stderr)
         sys.stderr.write("\n")
-        return 2
-    except (FitError, UnstableModelError, NumericalError, np.linalg.LinAlgError) as exc:
-        json.dump({"error": str(exc), "type": type(exc).__name__}, sys.stderr)
-        sys.stderr.write("\n")
-        return 1
+        return 1 if isinstance(exc, _NUMERICAL) else 2
 
 
 if __name__ == "__main__":

@@ -21,7 +21,10 @@ chunks and ``sample_exact_max_gains`` keeps each row's max gain only, so its
 working memory does not grow with the row count.
 
 A model's lags 0..N-1 are computed once (``ClarkeModel.lags``); the
-covariance and every surrogate fit read slices of them.
+covariance and every surrogate fit read slices of them.  Its law, the
+eigendecomposition of that covariance, is likewise computed once
+(``ClarkeModel.spectrum``); order selection, the exact draws and the
+observation-count bound all read it.
 """
 
 from __future__ import annotations
@@ -58,10 +61,10 @@ class ClarkeModel:
     def __post_init__(self):
         if self.N < 2:
             raise ValueError(f"N must be >= 2, got {self.N}")
-        if not self.W > 0:
-            raise ValueError(f"W must be > 0, got {self.W}")
-        if not self.sigma2 > 0:
-            raise ValueError(f"sigma2 must be > 0, got {self.sigma2}")
+        if not 0 < self.W < np.inf:
+            raise ValueError(f"W must be finite and > 0, got {self.W}")
+        if not 0 < self.sigma2 < np.inf:
+            raise ValueError(f"sigma2 must be finite and > 0, got {self.sigma2}")
 
     @cached_property
     def lags(self) -> np.ndarray:
@@ -69,6 +72,11 @@ class ClarkeModel:
         row = np.array([clarke_autocorrelation(lag, self) for lag in range(self.N)], dtype=np.complex128)
         row.setflags(write=False)
         return row
+
+    @cached_property
+    def spectrum(self) -> "EigenSpectrum":
+        """``eigen_spectrum(build_covariance(self))``, computed once per model."""
+        return eigen_spectrum(build_covariance(self))
 
 
 def clarke_autocorrelation(lag: int, model: ClarkeModel) -> float:

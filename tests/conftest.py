@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from scipy.linalg import toeplitz
 
-from faschan.arfit import ArpModel, arp_induced_covariance, unit_noise_gain
-from faschan.correlation import ClarkeModel, build_covariance, eigen_spectrum
+from faschan.arfit import ArpModel, _inverse_power, _stability, arp_induced_covariance
+from faschan.correlation import ClarkeModel
 from faschan.rng import make_rng
 
 
@@ -16,7 +16,7 @@ def clarke_w2n100():
 
 @pytest.fixture(scope="session")
 def spectrum_w2n100(clarke_w2n100):
-    return eigen_spectrum(build_covariance(clarke_w2n100))
+    return clarke_w2n100.spectrum
 
 
 @pytest.fixture(scope="session")
@@ -28,14 +28,11 @@ def complex_root_model():
 
 
 def make_consistent_model(p: int, seed=0, max_mod: float = 0.6, roots=None) -> ArpModel:
-    """Stable AR(p) whose source lags are its own stationary lags.
+    """Stable AR(p) of unit stationary per-port variance.
 
     Roots are drawn inside a disk of radius ``max_mod`` unless given
-    explicitly; the innovation variance normalizes the stationary per-port
-    variance to 1.  The lag sequence comes from an explicit Kronecker solve
-    of the state-covariance fixed point, independently of the library's
-    spectral lags, so on these well-conditioned toys ``source_lags`` is a
-    reference for ``arp_induced_covariance`` and ``stationary_covariance``.
+    explicitly; the innovation variance is one over the unit-noise gain, the
+    mean of 1 / |A|^2 on the library's gain grid.
     """
     if roots is None:
         rng = make_rng(seed)
@@ -43,15 +40,26 @@ def make_consistent_model(p: int, seed=0, max_mod: float = 0.6, roots=None) -> A
     roots = np.asarray(roots, dtype=complex)
     assert roots.size == p
     alpha = -np.poly(roots)[1:]
-    sigma_eps2 = 1.0 / unit_noise_gain(alpha)
-    a, q = companion(ArpModel(alpha=alpha, sigma_eps2=sigma_eps2, p=p, source_lags=np.ones(p + 1)))
+    sigma_eps2 = 1.0 / float(np.mean(_inverse_power(alpha, _stability(alpha).margin)))
+    return ArpModel(alpha=alpha, sigma_eps2=sigma_eps2)
+
+
+def kronecker_lags(model: ArpModel) -> np.ndarray:
+    """The model's own lags r(0..p), from an explicit Kronecker solve.
+
+    Solves the state-covariance fixed point P = A P A^H + Q, independently of
+    the library's spectral lags, so on well-conditioned toys it is a
+    reference for ``arp_induced_covariance`` and ``stationary_covariance``.
+    """
+    p, alpha = model.p, model.alpha
+    a, q = companion(model)
     lhs = np.eye(p * p, dtype=complex) - np.kron(np.conj(a), a)
     pinf = np.linalg.solve(lhs, q.reshape(-1, order="F")).reshape(p, p, order="F")
     pinf = (pinf + pinf.conj().T) / 2
     lags = np.empty(p + 1, dtype=complex)
     lags[:p] = pinf[0, :]
     lags[p] = alpha @ lags[p - 1 :: -1][:p] if p > 1 else alpha[0] * lags[0]
-    return ArpModel(alpha=alpha, sigma_eps2=sigma_eps2, p=p, source_lags=lags)
+    return lags
 
 
 def stationary_covariance(model: ArpModel) -> np.ndarray:

@@ -180,7 +180,7 @@ def test_c4_production_fit_equivalence():
                 kalman = kalman_smooth(model, obs, n)
                 scale = float(np.abs(dense.means).max())
                 worst_mean = max(worst_mean, float(np.abs(dense.means - kalman.means).max()) / scale)
-                worst_var = max(worst_var, float(np.abs(dense.variances - kalman.variances).max()) / model.r0)
+                worst_var = max(worst_var, float(np.abs(dense.variances - kalman.variances).max()) / cov.r0)
     ok = worst_mean <= 1e-6 and worst_var <= 1e-6
     report(
         "C4",

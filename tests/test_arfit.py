@@ -11,21 +11,21 @@ from faschan.arfit import (
     _REF_BRANCH,
     ArpModel,
     _gain_grid_size,
+    _inverse_power,
     _stability,
     arp_induced_covariance,
     check_stability,
     fit_clarke_model,
     select_order,
-    unit_noise_gain,
 )
-from faschan.correlation import ClarkeModel, build_covariance, clarke_autocorrelation, eigen_spectrum, sample_exact
+from faschan.correlation import ClarkeModel, clarke_autocorrelation, sample_exact
 from faschan.errors import UnstableModelError
 from faschan.correlation import CHUNK_ROWS
 from faschan.generator import SimulationConfig, simulate_max_gains
 from faschan.rng import derive, make_rng
 from faschan.stats import ks_distance, max_gain
 
-from conftest import companion, impulse_response_lags, make_consistent_model
+from conftest import companion, impulse_response_lags, kronecker_lags, make_consistent_model
 
 
 def clarke_lags(w, n, p):
@@ -37,17 +37,19 @@ class TestFitClarkeModel:
     def test_production_fit_satisfies_orthogonality(self):
         # the aperture-window fit still honors the first-p recursion rows
         for w, n, p in [(5.0, 200, 37), (2.0, 100, 20)]:
-            fitted = fit_clarke_model(ClarkeModel(W=w, N=n), p)
-            lags = fitted.source_lags
+            model = ClarkeModel(W=w, N=n)
+            fitted = fit_clarke_model(model, p)
+            lags = model.lags[: p + 1]
             big_r = toeplitz(lags[:p], np.conj(lags[:p]))
             resid = np.linalg.norm(big_r @ fitted.alpha - lags[1:])
             assert resid <= 1e-8 * np.linalg.norm(lags[1:])
 
     def test_sigma_never_exceeds_r0(self):
-        # sigma^2 = r(0) / unit_noise_gain, and the gain is at least h_0^2 = 1
+        # sigma^2 = r(0) / (unit-noise gain), and the gain is at least h_0^2 = 1
+        model = ClarkeModel(W=3.0, N=80)
         for p in [1, 2, 5, 12]:
-            fitted = fit_clarke_model(ClarkeModel(W=3.0, N=80), p)
-            assert 0.0 <= fitted.sigma_eps2 <= fitted.r0
+            fitted = fit_clarke_model(model, p)
+            assert 0.0 <= fitted.sigma_eps2 <= model.lags[0].real
 
     def test_order_range_checked(self):
         model = ClarkeModel(W=1.0, N=20)
@@ -56,13 +58,11 @@ class TestFitClarkeModel:
                 fit_clarke_model(model, p)
 
     def test_model_fields_validated(self):
-        lags = np.array([1.0, 0.5 + 0j])
         with pytest.raises(ValueError, match="alpha"):
-            ArpModel(alpha=[0.5 + 0j, 0j], sigma_eps2=1.0, p=1, source_lags=lags)
-        with pytest.raises(ValueError, match="source_lags"):
-            ArpModel(alpha=[0.5 + 0j], sigma_eps2=1.0, p=1, source_lags=lags[:1])
+            ArpModel(alpha=[], sigma_eps2=1.0)
         with pytest.raises(ValueError, match="sigma_eps2"):
-            ArpModel(alpha=[0.5 + 0j], sigma_eps2=-1.0, p=1, source_lags=lags)
+            ArpModel(alpha=[0.5 + 0j], sigma_eps2=-1.0)
+        assert ArpModel(alpha=[0.5 + 0j, 0j], sigma_eps2=1.0).p == 2
 
 
 class TestCheckStability:
@@ -73,7 +73,7 @@ class TestCheckStability:
         assert report.stable and report.margin == pytest.approx(0.5, abs=1e-14)
 
     def test_unit_root_flagged(self):
-        unit = ArpModel(alpha=np.array([1.0 + 0j]), sigma_eps2=0.0, p=1, source_lags=np.array([1.0, 1.0 + 0j]))
+        unit = ArpModel(alpha=np.array([1.0 + 0j]), sigma_eps2=0.0)
         report = check_stability(unit)
         assert report.root_moduli[0] == pytest.approx(1.0, abs=1e-14)
         assert not report.stable
@@ -101,10 +101,13 @@ class TestUnitNoiseGain:
     # fits; the sized grid must do as well, with the tolerance to spare
     @pytest.mark.parametrize("w,n,p", GAIN_GRID_CASES, ids=lambda v: str(v))
     def test_sized_grid_matches_dense_reference_on_production_fits(self, w, n, p):
-        alpha = fit_clarke_model(ClarkeModel(W=w, N=n), p).alpha
+        model = ClarkeModel(W=w, N=n)
+        fitted = fit_clarke_model(model, p)
+        alpha = fitted.alpha
         transfer = np.fft.fft(np.concatenate([[1.0 + 0.0j], -alpha]), n=1 << 23)
         reference = float(np.mean(1.0 / np.abs(transfer) ** 2))
-        assert unit_noise_gain(alpha) == pytest.approx(reference, rel=1e-7)
+        # the fit's gain: r(0) = sigma_eps2 * gain
+        assert model.lags[0].real / fitted.sigma_eps2 == pytest.approx(reference, rel=1e-7)
         assert _gain_grid_size(_stability(alpha).margin) <= 1 << 21
 
     def test_grid_follows_root_margin(self):
@@ -119,12 +122,14 @@ class TestUnitNoiseGain:
 
     def test_ar1_closed_form(self):
         for a in (0.3 + 0.4j, 0.99, -0.999j):
-            assert unit_noise_gain(np.array([a])) == pytest.approx(1.0 / (1.0 - abs(a) ** 2), rel=1e-12)
+            alpha = np.array([a])
+            gain = np.mean(_inverse_power(alpha, _stability(alpha).margin))
+            assert gain == pytest.approx(1.0 / (1.0 - abs(a) ** 2), rel=1e-12)
 
 
 class TestInducedCovariance:
     def test_white_process(self):
-        fitted = ArpModel(alpha=[0j], sigma_eps2=2.0, p=1, source_lags=[2.0, 0j])
+        fitted = ArpModel(alpha=[0j], sigma_eps2=2.0)
         cov = arp_induced_covariance(fitted, 5)
         np.testing.assert_allclose(cov.matrix(), 2.0 * np.eye(5), atol=1e-14)
 
@@ -139,20 +144,20 @@ class TestInducedCovariance:
         cov = arp_induced_covariance(fitted, 5000)
         np.testing.assert_allclose(cov.first_row, (0.6 + 0.3j) ** np.arange(5000), atol=1e-12)
 
-    def test_matches_source_lags_near_the_unit_circle(self):
+    def test_matches_kronecker_lags_near_the_unit_circle(self):
         # a root margin of 1e-3, as on the production fits: the spectral lags
         # still meet the toy's Kronecker-solved lags r(0..p); the
         # aperture-window production fit does not meet the lags it matched
         model = make_consistent_model(3, roots=[0.999 * np.exp(0.3j), 0.99 * np.exp(-1.0j), 0.9])
         cov = arp_induced_covariance(model, 30)
-        np.testing.assert_allclose(cov.first_row[:4], model.source_lags, atol=1e-7)
+        np.testing.assert_allclose(cov.first_row[:4], kronecker_lags(model), atol=1e-7)
 
     def test_matches_lyapunov_state_covariance(self):
-        # cross-oracle: the toy's source lags come from a Kronecker solve of
+        # cross-oracle: the reference lags come from a Kronecker solve of
         # the state-covariance fixed point, not from the spectrum
         model = make_consistent_model(6, seed=(52, 1))
         cov = arp_induced_covariance(model, 8)
-        np.testing.assert_allclose(cov.first_row[:7], model.source_lags, atol=1e-9)
+        np.testing.assert_allclose(cov.first_row[:7], kronecker_lags(model), atol=1e-9)
 
     @pytest.mark.parametrize("w,n,p", [(2.0, 100, 12), (5.0, 200, 37), (2.0, 100, 20), (2.0, 50, 20)], ids=str)
     def test_lags_match_impulse_response_oracle(self, w, n, p):
@@ -177,7 +182,7 @@ class TestInducedCovariance:
         assert abs(lags[50]) < abs(lags[5])
 
     def test_unstable_model_refused(self):
-        bad = ArpModel(alpha=np.array([1.2 + 0j]), sigma_eps2=1.0, p=1, source_lags=np.array([1.0, 0.9 + 0j]))
+        bad = ArpModel(alpha=np.array([1.2 + 0j]), sigma_eps2=1.0)
         with pytest.raises(UnstableModelError):
             arp_induced_covariance(bad, 10)
 
@@ -229,8 +234,7 @@ class TestSelectOrder:
         # and the reference is sample_exact's, reduced a chunk at a time
         model, seed, mc = ClarkeModel(W=1.0, N=20), 6, CHUNK_ROWS + 3
         result = select_order(model, p_max=3, mc_samples=mc, seed=seed)
-        spectrum = eigen_spectrum(build_covariance(model))
-        reference = max_gain(sample_exact(spectrum, derive(seed, _REF_BRANCH), mc))
+        reference = max_gain(sample_exact(model.spectrum, derive(seed, _REF_BRANCH), mc))
         config = SimulationConfig(N=model.N, B=5 * model.N, seed=derive(seed, _CANDIDATE_BRANCH))
         assert set(result.distances) == {1, 2, 3}
         for p, distance in result.distances.items():
@@ -264,11 +268,12 @@ class TestSelectOrder:
     def test_p_max_checked_before_any_work(self, monkeypatch):
         # fit_clarke_model fits p <= N-1, so p_max = N must fail up front
         import faschan.arfit
+        import faschan.correlation
 
         def no_work(*args, **kwargs):
             raise AssertionError("select_order did work before its range check")
 
-        monkeypatch.setattr(faschan.arfit, "eigen_spectrum", no_work)
+        monkeypatch.setattr(faschan.correlation, "eigen_spectrum", no_work)
         monkeypatch.setattr(faschan.arfit, "fit_clarke_model", no_work)
         with pytest.raises(ValueError, match="p_max"):
             select_order(ClarkeModel(W=1.0, N=20), p_max=20, mc_samples=1000)

@@ -72,6 +72,25 @@ class TestFit:
             main(["fit", "--bogus", "1"])
         assert exc.value.code == 2
 
+    def test_linear_algebra_failure_exits_one(self, monkeypatch, capsys):
+        # LinAlgError is a ValueError, but a numerical failure, not a usage error
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(arfit, "fit_clarke_model", fail)
+        code, out, err = run_cli(["fit", "--W", "2", "--N", "20", "--p", "2", "--no-meta"], capsys)
+        assert code == 1
+        assert out == ""
+        assert json.loads(err) == {"error": "SVD did not converge", "type": "LinAlgError"}
+
+    @pytest.mark.parametrize("flag", ["--W", "--sigma2"])
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_model_usage_error(self, flag, value, capsys):
+        code, out, err = run_cli(["fit", "--W", "2", "--N", "20", "--p", "2", flag, value, "--no-meta"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "must be finite" in json.loads(err)["error"]
+
 
 class TestSelectOrder:
     def test_json_and_csv_formats(self, capsys, tmp_path):
@@ -490,6 +509,35 @@ class TestBound:
         assert code == 2
         assert out == ""
         assert flag in json.loads(err)["error"]
+
+
+class TestSharedSpectrum:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["interpolate", "--W", "2", "--N", "30", "--p-max", "3", "--mc", "1000", "--M", "6",
+             "--strategy", "uniform_endpoints"],
+            ["bound", "--W", "2", "--N", "30", "--p-max", "3", "--mc", "1000", "--eps", "0.1",
+             "--trials", "4"],
+        ],
+        ids=["interpolate", "bound"],
+    )
+    def test_order_selection_and_truths_share_one_eigendecomposition(self, argv, monkeypatch, capsys):
+        # the selection's reference sample, the truths and the bound all read
+        # the exact model's one cached spectrum; counted in every module
+        # namespace that holds eigen_spectrum
+        calls = []
+
+        def counted(cov):
+            calls.append(cov.N)
+            return eigen_spectrum(cov)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("faschan") and getattr(module, "eigen_spectrum", None) is eigen_spectrum:
+                monkeypatch.setattr(module, "eigen_spectrum", counted)
+        code, _, _ = run_cli([*argv, "--no-meta"], capsys)
+        assert code == 0
+        assert calls == [30]
 
 
 class TestDeterminism:

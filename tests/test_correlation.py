@@ -56,6 +56,27 @@ class TestClarkeAutocorrelation:
             ClarkeModel(W=1.0, N=1)
         with pytest.raises(ValueError):
             ClarkeModel(W=1.0, N=10, sigma2=0.0)
+        # non-finite values are refused here, not passed on to LAPACK
+        for value in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="W must be finite"):
+                ClarkeModel(W=value, N=10)
+            with pytest.raises(ValueError, match="sigma2 must be finite"):
+                ClarkeModel(W=1.0, N=10, sigma2=value)
+
+    def test_spectrum_cached_per_model(self, monkeypatch):
+        model = ClarkeModel(W=2.0, N=30)
+        expected = eigen_spectrum(build_covariance(model))
+        calls = []
+
+        def counted(cov):
+            calls.append(cov.N)
+            return eigen_spectrum(cov)
+
+        monkeypatch.setattr(correlation, "eigen_spectrum", counted)
+        assert model.spectrum is model.spectrum
+        assert calls == [30]
+        np.testing.assert_array_equal(model.spectrum.eigenvalues, expected.eigenvalues)
+        np.testing.assert_array_equal(model.spectrum.eigenvectors, expected.eigenvectors)
 
 
 class TestBuildCovariance:
@@ -102,11 +123,11 @@ class TestBuildCovariance:
 
         monkeypatch.setattr(correlation, "clarke_autocorrelation", counted)
         cov = build_covariance(model)
-        fits = [fit_clarke_model(model, p) for p in (1, 5, 29, 40)]
+        for p in (1, 5, 29, 40):
+            fit_clarke_model(model, p)
         assert sorted(calls) == list(range(model.N))
         np.testing.assert_array_equal(cov.first_row, expected)
-        for fitted in fits:
-            np.testing.assert_array_equal(fitted.source_lags, expected[: fitted.p + 1])
+        np.testing.assert_array_equal(model.lags, expected)
         assert not model.lags.flags.writeable
 
     def test_rejects_bad_first_row(self):

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from faschan.arfit import ArpModel, fit_clarke_model
+from faschan.arfit import ArpModel, arp_induced_covariance, fit_clarke_model
 from faschan.correlation import ClarkeModel
 from faschan.errors import UnstableModelError
 from faschan.generator import (
@@ -35,9 +35,7 @@ def lag_estimate(batch, lag):
 
 class TestSimulate:
     def test_memoryless_case_variance(self):
-        white = ArpModel(
-            alpha=np.array([0.0 + 0j]), sigma_eps2=0.7, p=1, source_lags=np.array([0.7, 0.0 + 0j])
-        )
+        white = ArpModel(alpha=np.array([0.0 + 0j]), sigma_eps2=0.7)
         sample = simulate_batch(white, SimulationConfig(N=100_000, B=10, seed=1), 1)[0]
         assert np.mean(np.abs(sample) ** 2) == pytest.approx(0.7, rel=0.05)
         assert abs(np.mean(sample)) < 3 * np.sqrt(0.7 / sample.size)
@@ -62,18 +60,19 @@ class TestSimulate:
         assert np.all(np.abs(sample - oracle) <= 5 * stderr)
 
     def test_unstable_refused(self):
-        bad = ArpModel(alpha=np.array([1.5 + 0j]), sigma_eps2=1.0, p=1, source_lags=np.array([1.0, 0.9 + 0j]))
+        bad = ArpModel(alpha=np.array([1.5 + 0j]), sigma_eps2=1.0)
         with pytest.raises(UnstableModelError):
             simulate_batch(bad, SimulationConfig(N=10, B=0, seed=0), 1)
 
     def test_burn_in_sufficiency(self):
         # two-run comparison oracle: doubling the burn-in leaves the law unchanged
         model = make_consistent_model(3, seed=(60, 0), max_mod=0.7)
+        lags = arp_induced_covariance(model, model.p + 1).first_row
         count = 20_000
         lag_errs = []
         for factor in (5, 10):
             batch = simulate_batch(model, SimulationConfig(N=30, B=factor * 30, seed=(61, factor)), count)
-            errs = [abs(lag_estimate(batch, lag) - model.source_lags[lag]) for lag in range(model.p + 1)]
+            errs = [abs(lag_estimate(batch, lag) - lags[lag]) for lag in range(model.p + 1)]
             lag_errs.append(max(errs))
         mc_scale = 3.0 / np.sqrt(count)
         assert abs(lag_errs[0] - lag_errs[1]) < mc_scale
@@ -81,7 +80,7 @@ class TestSimulate:
 
 # g_k = eps_k with sigma_eps2 = 1 and a start factor of exactly 1: every
 # realization is its row's standard normals, bit for bit
-WHITE = ArpModel(alpha=np.array([0.0 + 0j]), sigma_eps2=1.0, p=1, source_lags=np.array([1.0, 0.0 + 0j]))
+WHITE = ArpModel(alpha=np.array([0.0 + 0j]), sigma_eps2=1.0)
 
 
 class TestRowStreams:
@@ -299,10 +298,11 @@ class TestSimulateBatch:
         # positive real roots keep every matched lag order one, so the
         # relative comparison is well-posed
         model = make_consistent_model(2, roots=[0.85, 0.7])
+        lags = arp_induced_covariance(model, model.p + 1).first_row
         batch = simulate_batch(model, SimulationConfig(N=60, B=300, seed=77), 50_000)
         for lag in range(model.p + 1):
             est = lag_estimate(batch, lag)
-            target = model.source_lags[lag]
+            target = lags[lag]
             assert abs(est - target) / abs(target) < 0.03
 
     def test_zero_mean_after_burn_in(self):
@@ -315,11 +315,12 @@ class TestSimulateBatch:
     def test_monte_carlo_rate(self):
         # lag-error should shrink about 2x when the batch grows 4x
         model = make_consistent_model(2, seed=(63, 0), max_mod=0.6)
+        lags = arp_induced_covariance(model, model.p + 1).first_row
 
         def worst_err(count, seed):
             batch = simulate_batch(model, SimulationConfig(N=40, B=200, seed=seed), count)
             return max(
-                abs(lag_estimate(batch, lag) - model.source_lags[lag]) for lag in range(model.p + 1)
+                abs(lag_estimate(batch, lag) - lags[lag]) for lag in range(model.p + 1)
             )
 
         small = np.mean([worst_err(2_000, (64, k)) for k in range(3)])

@@ -34,6 +34,7 @@ from conftest import (
     burned_in_oracle,
     companion,
     kalman_smooth_joseph,
+    kronecker_lags,
     make_consistent_model,
     stationary_covariance,
 )
@@ -143,7 +144,7 @@ class TestStateSpace:
         model = make_consistent_model(1, roots=[0.5 + 0.1j])
         alpha = model.alpha[0]
         factor = model.stationary_factor
-        np.testing.assert_allclose(factor.conj().T @ factor, [[model.r0]])
+        np.testing.assert_allclose(factor.conj().T @ factor, [[model.sigma_eps2 / (1 - abs(alpha) ** 2)]])
         n, mid, value = 15, 6, 0.7 - 0.2j
         result = kalman_smooth(model, ObservationSet(indices=[mid], values=[value], noise_var=0.0), n)
         d = np.arange(1, n + 1) - mid
@@ -180,7 +181,7 @@ class TestStationaryCovariance:
         assert pinf[0, 0].real == pytest.approx(model.sigma_eps2 / (1 - 0.36), rel=1e-12)
 
     def test_white_process_ar1_returns_q(self):
-        model = ArpModel(alpha=[0j], sigma_eps2=0.8, p=1, source_lags=[0.8, 0j])
+        model = ArpModel(alpha=[0j], sigma_eps2=0.8)
         np.testing.assert_allclose(stationary_covariance(model), companion(model)[1], atol=1e-14)
 
     def test_white_process_higher_order_is_diagonal(self):
@@ -210,7 +211,7 @@ class TestStationaryCovariance:
         # consistent fits carry their lag sequence in the stationary state
         model = make_consistent_model(8, seed=(81, 20), max_mod=0.7)
         pinf = stationary_covariance(model)
-        np.testing.assert_allclose(pinf[0, :], model.source_lags[:8], atol=1e-8)
+        np.testing.assert_allclose(pinf[0, :], kronecker_lags(model)[:8], atol=1e-8)
 
     @pytest.mark.parametrize(
         "case",
@@ -236,7 +237,7 @@ class TestStationaryCovariance:
         assert model.stationary_factor is factor
 
     def test_spectral_radius_validated(self):
-        bad = ArpModel(alpha=np.array([1.0 + 0j]), sigma_eps2=1.0, p=1, source_lags=np.array([1.0, 0.9 + 0j]))
+        bad = ArpModel(alpha=np.array([1.0 + 0j]), sigma_eps2=1.0)
         with pytest.raises(UnstableModelError):
             stationary_covariance(bad)
 
@@ -244,11 +245,12 @@ class TestStationaryCovariance:
 class TestKalmanSmooth:
     def test_full_observation_reproduces_data(self):
         model = make_consistent_model(4, seed=(82, 0))
-        truth = sample_exact(eigen_spectrum(arp_induced_covariance(model, 40)), (82, 1), 1)[0]
+        cov = arp_induced_covariance(model, 40)
+        truth = sample_exact(eigen_spectrum(cov), (82, 1), 1)[0]
         obs = ObservationSet(indices=np.arange(1, 41), values=truth, noise_var=0.0)
         result = kalman_smooth(model, obs, 40)
         np.testing.assert_allclose(result.means, truth, rtol=1e-6)
-        assert np.all(result.variances <= 2 * NOISE_FLOOR_FACTOR * model.r0)
+        assert np.all(result.variances <= 2 * NOISE_FLOOR_FACTOR * cov.r0)
 
     def test_equivalence_with_dense_oracle(self):
         # the module's central cross-check, randomized over sizes and noise
@@ -270,7 +272,7 @@ class TestKalmanSmooth:
             kalman = kalman_smooth(model, obs, n)
             scale = max(np.abs(dense.means).max(), 1e-12)
             assert np.abs(dense.means - kalman.means).max() <= 1e-6 * scale
-            assert np.abs(dense.variances - kalman.variances).max() <= 1e-6 * model.r0
+            assert np.abs(dense.variances - kalman.variances).max() <= 1e-6 * cov.r0
 
     def test_single_mid_port_ar1_analytic(self):
         # conditioning an AR(1) on one port: variance r0*(1 - c^(2|k-m|))
@@ -292,7 +294,7 @@ class TestKalmanSmooth:
             kalman_smooth(model, obs, 10)
 
     def test_unstable_refused(self):
-        bad = ArpModel(alpha=np.array([1.1 + 0j]), sigma_eps2=1.0, p=1, source_lags=np.array([1.0, 0.9 + 0j]))
+        bad = ArpModel(alpha=np.array([1.1 + 0j]), sigma_eps2=1.0)
         obs = ObservationSet(indices=[2], values=[1.0 + 0j])
         with pytest.raises(UnstableModelError):
             kalman_smooth(bad, obs, 10)
@@ -310,7 +312,8 @@ class TestSmootherReference:
         means, variances, nmse_unobserved = kalman_smooth_joseph(model, obs, n)
         result = kalman_smooth(model, obs, n)
         np.testing.assert_array_equal(result.means, means)
-        assert np.abs(result.variances - variances).max() <= 1e-10 * model.r0
+        r0 = arp_induced_covariance(model, 1).r0
+        assert np.abs(result.variances - variances).max() <= 1e-10 * r0
         assert result.nmse_unobserved == pytest.approx(nmse_unobserved, rel=0, abs=1e-10)
 
     def test_c4_toy_draws(self):
@@ -441,11 +444,12 @@ class TestDeferredPosterior:
 def _assert_matches_dense(model, obs, n):
     """C4's gate for one case: the smoother's means within 1e-6 of max|dense
     mean| and its variances within 1e-6 r0 of dense conditioning."""
-    dense = dense_mmse(arp_induced_covariance(model, n), obs)
+    cov = arp_induced_covariance(model, n)
+    dense = dense_mmse(cov, obs)
     kalman = kalman_smooth(model, obs, n)
     scale = max(float(np.abs(dense.means).max()), 1e-12)
     assert np.abs(dense.means - kalman.means).max() <= 1e-6 * scale
-    assert np.abs(dense.variances - kalman.variances).max() <= 1e-6 * model.r0
+    assert np.abs(dense.variances - kalman.variances).max() <= 1e-6 * cov.r0
     assert kalman.nmse_unobserved == pytest.approx(dense.nmse_unobserved, rel=1e-6, abs=1e-6)
 
 
@@ -558,7 +562,7 @@ class TestWidePatternSet:
                         kalman = kalman_smooth(model, obs, n)
                         scale = float(np.abs(dense.means).max())
                         worst_mean = max(worst_mean, float(np.abs(dense.means - kalman.means).max()) / scale)
-                        worst_var = max(worst_var, float(np.abs(dense.variances - kalman.variances).max()) / model.r0)
+                        worst_var = max(worst_var, float(np.abs(dense.variances - kalman.variances).max()) / cov.r0)
         assert worst_mean <= 1e-6
         assert worst_var <= 1e-6
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from faschan import generator, selection_gain
-from faschan.arfit import ArpModel, check_stability, fit_clarke_model
+from faschan.arfit import ArpModel, arp_induced_covariance, check_stability, fit_clarke_model
 from faschan.correlation import ClarkeModel, build_covariance, eigen_spectrum, sample_exact
 from faschan.errors import UnstableModelError
 from faschan.generator import SimulationConfig, burned_in_factor, burned_in_states, simulate_batch
@@ -133,7 +133,7 @@ class TestSmcCdf:
         assert curve.extinction_steps[0] == 1
 
     def test_huge_threshold_gives_one(self, small_model):
-        t_huge = 1e3 * small_model.r0 * (1 + np.log(20))
+        t_huge = 1e3 * arp_induced_covariance(small_model, 1).r0 * (1 + np.log(20))
         curve = smc_cdf(small_model, N=20, thresholds=[t_huge], J=400, seed=3)
         assert curve.values[0] == pytest.approx(1.0, abs=1e-3)
 
@@ -174,9 +174,7 @@ class TestSmcCdf:
             smc_cdf(small_model, N=10, thresholds=[1.0], J=50, seed=0)
         with pytest.raises(ValueError):
             smc_cdf(small_model, N=10, thresholds=[1.0], J=200, ess_ratio=0.0, seed=0)
-        bad = ArpModel(
-            alpha=np.array([1.4 + 0j]), sigma_eps2=1.0, p=1, source_lags=np.array([1.0, 0.9 + 0j])
-        )
+        bad = ArpModel(alpha=np.array([1.4 + 0j]), sigma_eps2=1.0)
         with pytest.raises(UnstableModelError):
             smc_cdf(bad, N=10, thresholds=[1.0], J=200, seed=0)
 
@@ -342,7 +340,7 @@ class TestRingBuffer:
 class TestSurvivalUpdate:
     # the per-port survival update, run through the evaluator on a memoryless
     # p = 1 model, whose port-1 values are the starting swarm itself
-    WHITE = ArpModel(alpha=[0j], sigma_eps2=1.0, p=1, source_lags=[1.0, 0j])
+    WHITE = ArpModel(alpha=[0j], sigma_eps2=1.0)
 
     def run_with_five_survivors(self, N, monkeypatch):
         J, seed = 64, (44, 1)
