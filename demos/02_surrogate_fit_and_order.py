@@ -11,7 +11,6 @@ import numpy as np
 
 from faschan import (
     ClarkeModel,
-    SimulationConfig,
     check_stability,
     fit_clarke_model,
     ks_distance,
@@ -31,7 +30,7 @@ print("order   innovation var   max root   KS distance")
 for p in (1, 2, 4, 6, 8):
     fitted = fit_clarke_model(model, p)
     report = check_stability(fitted)
-    sims = simulate_batch(fitted, SimulationConfig(N=40, B=burn * 40, seed=(8, p)), 4000)
+    sims = simulate_batch(fitted, 40, 4000, seed=(8, p), burn_in_factor=burn)
     d = ks_distance(reference, max_gain(sims))
     print(f"p={p:<4d}  {fitted.sigma_eps2:12.3e}   {report.root_moduli[0]:.6f}   {d:.4f}")
 

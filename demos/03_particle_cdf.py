@@ -11,7 +11,6 @@ import numpy as np
 
 from faschan import (
     ClarkeModel,
-    SimulationConfig,
     empirical_cdf_max_gain,
     fit_clarke_model,
     max_gain,
@@ -24,7 +23,8 @@ model = ClarkeModel(W=1.0, N=40)
 fitted = fit_clarke_model(model, 6)
 
 exact_gains = max_gain(sample_exact(model.spectrum, seed=3, count=8000))
-direct_gains = max_gain(simulate_batch(fitted, SimulationConfig(N=40, B=200, seed=4), 8000))
+# the default start law, the one smc_cdf below starts its swarm from
+direct_gains = max_gain(simulate_batch(fitted, 40, 8000, seed=4))
 grid = np.quantile(exact_gains, [0.01, 0.05, 0.2, 0.5, 0.8, 0.95])
 
 exact_curve = empirical_cdf_max_gain(exact_gains, grid)

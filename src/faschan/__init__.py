@@ -25,7 +25,7 @@ from .correlation import (
     sample_exact,
 )
 from .errors import FitError, NumericalError, UnstableModelError
-from .generator import SimulationConfig, simulate_batch
+from .generator import simulate_batch
 from .interpolation import (
     ObservationSet,
     ReconstructionResult,

@@ -16,7 +16,8 @@ The fitted process's own autocorrelation is the inverse transform of its
 power spectrum sigma^2 / |A(e^{jw})|^2, evaluated on the same grid that
 normalizes the innovation variance; it gives the Toeplitz covariance for
 cross-checking against dense conditioning.  The smoother's prior is the
-model's cached ``ArpModel.stationary_factor``.
+model's cached ``ArpModel.stationary_factor``; simulated rows and particle
+swarms start from ``start_factor``, the law after burn_in_factor * N ports.
 
 Order selection follows the Monte-Carlo procedure: an exact-model reference
 sample of the selection gain, one simulated sample per stable candidate
@@ -36,6 +37,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy.linalg import blas, lapack
 
 from .correlation import ClarkeModel, ToeplitzCovariance, sample_exact_max_gains
 from .errors import FitError, UnstableModelError
@@ -55,12 +58,17 @@ _GRID_MIN = 1 << 12
 _GRID_MAX = 1 << 21
 # stationary factor's burn-in, in e-folds of the slowest root's decay
 _STATIONARY_DECAYS = 14
+# the surrogate's start law: the burned-in law after this many multiples of N ports
+BURN_IN_FACTOR = 5
+# impulse-response rows folded into the burn-in factor per QR update; fixed,
+# because the block boundaries set the signs of the factor's rows
+_FACTOR_ROWS = 256
 
 _REF_BRANCH = 0
 _CANDIDATE_BRANCH = 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ArpModel:
     """AR(p) law: coefficients alpha_1..alpha_p and innovation variance sigma_eps2."""
 
@@ -94,8 +102,6 @@ class ArpModel:
         model's own lags r(j - i) (``arp_induced_covariance``) to round-off.
         Computed once per model, read-only.
         """
-        from .generator import burned_in_factor
-
         report = check_stability(self)
         if not report.stable:
             raise UnstableModelError("an unstable model has no stationary law")
@@ -104,7 +110,7 @@ class ArpModel:
         return factor
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StabilityReport:
     root_moduli: np.ndarray
     stable: bool
@@ -220,14 +226,68 @@ def arp_induced_covariance(model: ArpModel, N: int) -> ToeplitzCovariance:
         raise UnstableModelError("an unstable model has no stationary autocorrelation")
     power = _inverse_power(model.alpha, report.margin, 2 * N)
     lags = np.conj(np.fft.rfft(power)[:N]) * (model.sigma_eps2 / power.size)
-    return ToeplitzCovariance(first_row=lags, N=N)
+    return ToeplitzCovariance(first_row=lags)
+
+
+def burned_in_factor(model: ArpModel, B: int) -> np.ndarray:
+    """Upper-triangular F with F^H F the covariance of the burned-in lifted state.
+
+    The state is [g_{B+p}, ..., g_{B+1}] (newest first) of the recursion run
+    B + p steps from zeros: a ``simulate_batch`` row at N = p,
+    reversed.  It is linear in the innovations, g_{B+p-a} = sum_m
+    h_{m-a} eps_{B+p-m} with h the impulse response, so its law is
+    CN(0, sigma_eps2 H H^H) where row a of the p x (B+p) matrix H is h
+    shifted right by a.  F = sqrt(sigma_eps2) R with R the triangular factor
+    of H^H, which is PSD by construction.  Row m of H^H is the conjugated
+    lifted impulse state [h_m, ..., h_{m-p+1}].
+
+    R starts as row 0, (h_0, 0, ..., 0) with h_0 = 1, and the rows from 1 on
+    are folded in _FACTOR_ROWS at a time, each block QR-factored under the R
+    so far, so memory does not grow with B.  Each block's responses come
+    from one compiled banded solve (``ztbsv``): a unit lower-triangular
+    system whose first p rows carry the previous p responses and whose row
+    i >= p reads h_i - sum_d alpha_d h_{i-d} = 0.  The start and the block
+    boundaries are fixed, not tuning: each QR's Householder steps set the
+    signs of R's rows, so another start or block size gives a factor of the
+    same law whose rows differ in sign, and every realization drawn through
+    it would change.  Its callers pass B >= 0; ``start_factor`` checks it.
+    """
+    p = model.p
+    # lower band storage: band[d, j] is the system's entry (j + d, j)
+    band = np.zeros((p + 1, p + _FACTOR_ROWS), dtype=np.complex128, order="F")
+    for d in range(1, p + 1):
+        band[d, p - d :] = -model.alpha[d - 1]
+    # the p responses before each block, oldest first, then the block's own
+    h = np.zeros(p + _FACTOR_ROWS, dtype=np.complex128)
+    h[p - 1] = 1.0
+    r = np.eye(1, p, dtype=np.complex128)
+    for start in range(1, B + p, _FACTOR_ROWS):
+        rows = min(_FACTOR_ROWS, B + p - start)
+        n = p + rows
+        h[p:n] = 0.0
+        h[:n] = blas.ztbsv(p, band[:, :n], h[:n], lower=1, diag=1)
+        block = sliding_window_view(h[1:n], p)[:, ::-1].conj()
+        r = np.triu(lapack.zgeqrf(np.vstack((r, block)), overwrite_a=1)[0][:p])
+        h[:p] = h[rows:n]
+    return np.sqrt(model.sigma_eps2) * r
+
+
+def start_factor(model: ArpModel, N: int, burn_in_factor: int = BURN_IN_FACTOR) -> np.ndarray:
+    """The start law's factor: ``burned_in_factor`` after burn_in_factor * N ports from zeros.
+
+    The one owner of the surrogate's start law: the generator lifts each row's
+    first p normals through it, and the particle evaluator draws its swarm from it.
+    """
+    if burn_in_factor < 0:
+        raise ValueError(f"burn_in_factor must be >= 0, got {burn_in_factor}")
+    return burned_in_factor(model, burn_in_factor * N)
 
 
 def select_order(
     model: ClarkeModel,
     p_max: int,
     mc_samples: int,
-    burn_in_factor: int = 5,
+    burn_in_factor: int = BURN_IN_FACTOR,
     seed=0,
     workers: int = 1,
 ) -> OrderSelectionResult:
@@ -239,12 +299,12 @@ def select_order(
     chunk, so memory does not grow with ``mc_samples``.
     The candidates share their rows (common random numbers): row i's
     normals come from the derived seed (seed, 1, i) and drive every
-    candidate, each from its own burned-in start, so candidates differ by
+    candidate, each from its own ``start_factor``, so candidates differ by
     model and not by stream noise.  ``workers`` threads share each chunk's
     candidates.  Unstable orders are excluded.  Ties within TIE_TOL of the
     best distance go to the smallest order.
     """
-    from .generator import SimulationConfig, simulate_max_gains
+    from .generator import simulate_max_gains
 
     if not 1 <= p_max <= model.N - 1:
         raise ValueError(f"p_max must be in [1, N-1], got {p_max}")
@@ -256,8 +316,9 @@ def select_order(
     stable = [fitted for fitted in fits if check_stability(fitted).stable]
     if not stable:
         raise FitError(f"no stable candidate order in [1, {p_max}]")
-    config = SimulationConfig(N=model.N, B=burn_in_factor * model.N, seed=derive(seed, _CANDIDATE_BRANCH))
-    gains = simulate_max_gains(stable, config, mc_samples, workers)
+    gains = simulate_max_gains(
+        stable, model.N, mc_samples, derive(seed, _CANDIDATE_BRANCH), burn_in_factor, workers
+    )
     distances = {fitted.p: ks_distance(reference, row) for fitted, row in zip(stable, gains)}
     best = min(distances.values())
     p_star = min(p for p, d in distances.items() if d <= best + TIE_TOL)

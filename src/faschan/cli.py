@@ -12,7 +12,8 @@ default, help text and the subcommands that take it.  A value comes from its
 flag, else from the ``--config`` JSON file, else from the default, and each
 passes through the same converter: a config value is read as the text JSON
 writes for it, so it is converted and validated exactly as that text given
-as a flag would be.  ``--format`` (json or csv) belongs to ``select-order``
+as a flag would be.  Two ``_ALTERNATIVES`` given together, by flag or config,
+are a usage error.  ``--format`` (json or csv) belongs to ``select-order``
 alone.  Exit codes: 0 success, 1 numerical or runtime failure, 2 usage error.
 """
 
@@ -183,9 +184,10 @@ _PARAMS = (
     _Param("N", _distinct(_comma_list(int)), None, "comma list of port counts", ("bench",)),
     _Param("p", int, None, "surrogate order", ("fit", "generate", "interpolate", "bench", "bound")),
     _Param("p", _distinct(_comma_list(int)), None, "order or comma list of orders", ("cdf",)),
-    _Param("p_max", int, None, "select the order up to this one", _SELECTING),
+    _Param("p_max", int, None, "select the order up to this one, without --p", _SELECTING),
     _Param("mc", int, "30000", "Monte-Carlo samples per CDF", (*_SELECTING, "cdf")),
-    _Param("burn", int, "5", "burn-in length as a multiple of N", (*_SELECTING, "generate", "cdf")),
+    _Param("burn", int, str(arfit.BURN_IN_FACTOR), "burn-in length as a multiple of N",
+           (*_SELECTING, "generate", "cdf")),
     _Param("count", int, None, "realizations to emit", ("generate",)),
     _Param("J", int, "10000", "particle count", ("cdf",)),
     _Param("ess_ratio", float, "0.5", "resample below this ESS fraction", ("cdf",)),
@@ -207,6 +209,8 @@ _PARAMS = (
     _Param("format", _choice("json", "csv"), "json", "output format", ("select-order",)),
     _Param("no_meta", _switch, "false", "omit the timestamp header", _ALL),
 )
+# two ways to give one thing: a command that takes both refuses both given
+_ALTERNATIVES = (("p", "p_max"), ("t_grid", "t_quantile_grid"), ("M", "ratio"))
 
 
 def _params(command: str) -> dict[str, _Param]:
@@ -228,6 +232,10 @@ def _resolve(args):
             if name not in params:
                 raise ValueError(f"unknown config key {key!r}")
             config[name] = value if isinstance(value, str) else json.dumps(value)
+    given = {name for name in params if getattr(args, name) is not None or name in config}
+    for first, second in _ALTERNATIVES:
+        if first in given and second in given:
+            raise ValueError(f"{params[first].flag} and {params[second].flag} are alternatives; give one")
     for name, param in params.items():
         text = getattr(args, name)
         if text is None:
@@ -372,8 +380,7 @@ def cmd_generate(args) -> int:
     _require(args, ["W", "N", "p", "count"])
     model = _clarke(args)
     fitted = arfit.fit_clarke_model(model, args.p)
-    config = generator.SimulationConfig(N=model.N, B=args.burn * model.N, seed=args.seed)
-    batch = generator.simulate_batch(fitted, config, args.count)
+    batch = generator.simulate_batch(fitted, model.N, args.count, args.seed, args.burn)
     rows = [
         (i, k + 1, batch[i, k].real, batch[i, k].imag)
         for i in range(batch.shape[0])
@@ -405,8 +412,9 @@ def cmd_cdf(args) -> int:
 
         def direct_side(p):
             fitted = arfit.fit_clarke_model(model, p)
-            config = generator.SimulationConfig(N=model.N, B=args.burn * model.N, seed=derive(seed, 1, p))
-            return fitted, pool.submit(generator.simulate_max_gains, [fitted], config, mc)
+            return fitted, pool.submit(
+                generator.simulate_max_gains, [fitted], model.N, mc, derive(seed, 1, p), args.burn
+            )
 
         try:
             exact_task = pool.submit(exact_side)
@@ -469,8 +477,6 @@ def cmd_bench(args) -> int:
     _require(args, ["W", "N", "p"])
     if args.ratio is None and args.M is None:
         raise ValueError("either --ratio or --M is required")
-    if args.ratio is not None and args.M is not None:
-        raise ValueError("--M and --ratio are alternatives; give one")
     trials = args.trials
     sigma_v2 = args.sigma_v2
     seed = args.seed

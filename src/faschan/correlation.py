@@ -91,7 +91,7 @@ def clarke_autocorrelation(lag: int, model: ClarkeModel) -> float:
     return float(model.sigma2 * np.sinc(x / np.pi))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ToeplitzCovariance:
     """Hermitian Toeplitz covariance defined by the lag sequence r(0..N-1).
 
@@ -104,17 +104,18 @@ class ToeplitzCovariance:
     """
 
     first_row: np.ndarray
-    N: int
 
     def __post_init__(self):
         row = np.asarray(self.first_row, dtype=np.complex128).reshape(-1).copy()
-        if row.size != self.N:
-            raise ValueError(f"first_row has {row.size} entries, expected N = {self.N}")
         r0 = row[0]
         if abs(r0.imag) > 1e-12 * max(abs(r0.real), 1.0) or not r0.real > 0:
             raise ValueError(f"r(0) must be real and positive, got {r0}")
         row.setflags(write=False)
         object.__setattr__(self, "first_row", row)
+
+    @property
+    def N(self) -> int:
+        return self.first_row.size
 
     @property
     def r0(self) -> float:
@@ -133,10 +134,10 @@ class ToeplitzCovariance:
 
 def build_covariance(model: ClarkeModel) -> ToeplitzCovariance:
     """Covariance whose first row is the sinc autocorrelation at lags 0..N-1."""
-    return ToeplitzCovariance(first_row=model.lags, N=model.N)
+    return ToeplitzCovariance(first_row=model.lags)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EigenSpectrum:
     """Eigenvalues (descending, clipped at zero) and unitary eigenvectors of a covariance."""
 

@@ -1,21 +1,20 @@
-"""Stationary AR(p) channel realizations, started from the exact burned-in law.
+"""AR(p) channel realizations, each row started from the burned-in transient law.
 
-A realization is ports B+1 .. B+N of the recursion run from zeros, B the
-burn-in length, but nothing before port B+1 is simulated.  Row i of a
-batch draws one block of max(N, p) standard complex normals from the
-derived seed (seed, i).
-The first p, times the factor of the burned-in law (``burned_in_factor``),
-give ports B+1 .. B+p at once; the recursion then runs the remaining N - p
+A realization is ports B+1 .. B+N of the recursion run from zeros, B =
+burn_in_factor * N the burn-in length, but nothing before port B+1 is
+simulated.  Row i of a batch draws one block of max(N, p) standard complex
+normals from the derived seed (seed, i).
+The first p, times the start law's factor (``arfit.start_factor``), give
+ports B+1 .. B+p at once; the recursion then runs the remaining N - p
 ports with the rest of the block as innovations.  Since that state is
 independent of the later innovations, every row follows the law of the
 B + N steps from zeros exactly, for every B >= 0, and any single row is
-reproducible in isolation from its derived seed.
+reproducible in isolation from its derived seed.  A row is stationary only
+as far as that transient has died out: at B = 5N, port 1 of the W = 5,
+N = 200 fits has 1-2% less variance than their stationary law.
 
 ``burned_in_states`` draws the same lifted state for many rows from one
-seed (the particle evaluator's starting swarm).  The factor takes the
-impulse response a block at a time from a compiled banded solve and folds
-each block in by QR at fixed block boundaries, which fix the signs of its
-rows and hence every realization's bits.
+seed (the particle evaluator's starting swarm).
 
 Rows are simulated _CHUNK_ROWS (1024) at a time in two stages: the row
 normals are drawn, then each model drives its recursion with them
@@ -52,14 +51,12 @@ from __future__ import annotations
 import queue
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
-from scipy.linalg import blas, lapack
+from scipy.linalg import blas
 
-from .arfit import ArpModel, check_stability
+from .arfit import BURN_IN_FACTOR, ArpModel, check_stability, start_factor
 from .errors import UnstableModelError
 from .interpolation import _rowwise
 from .rng import SQRT_HALF, _philox_key, complex_standard_normal, derive, make_rng
@@ -74,24 +71,6 @@ _CHUNK_ROWS = 1024
 _ROW_ALIGN = 8
 # rows whose normals are drawn and lifted row-major before each transpose
 _DRAW_ROWS = 256
-# impulse-response rows folded into the burn-in factor per QR update; fixed,
-# because the block boundaries set the signs of the factor's rows
-_FACTOR_ROWS = 256
-
-
-@dataclass(frozen=True)
-class SimulationConfig:
-    """Output length N, burn-in length B, and the stream seed."""
-
-    N: int
-    B: int
-    seed: "int | tuple[int, ...]" = 0
-
-    def __post_init__(self):
-        if self.N < 1:
-            raise ValueError(f"N must be >= 1, got {self.N}")
-        if self.B < 0:
-            raise ValueError(f"B must be >= 0, got {self.B}")
 
 
 class _Work:
@@ -185,11 +164,8 @@ def _draw(block: np.ndarray, seed: "tuple[int, ...]", first: int) -> np.ndarray:
 
 
 def _simulate(
-    models: "Sequence[ArpModel]",
-    config: SimulationConfig,
-    count: int,
-    keep: Callable[[int, int, np.ndarray], None],
-    workers: int = 1,
+    models: "Sequence[ArpModel]", N: int, count: int, seed, burn_in_factor: int,
+    keep: Callable[[int, int, np.ndarray], None], workers: int = 1,
 ) -> None:
     """Drive every model with the same rows; keep(m, start, block) takes each chunk.
 
@@ -201,11 +177,11 @@ def _simulate(
     With workers > 1 the models of a chunk run on that many threads, each
     with its own buffers; every model still sees the same normals.
     """
-    seed = derive(config.seed)
-    length = max(config.N, models[0].p)
+    seed = derive(seed)
+    length = max(N, models[0].p)
     width = min(_CHUNK_ROWS, count)
     # F^H e is [g_{B+p}, ..., g_{B+1}]; its rows reversed give ports 1..p in order
-    lifts = [np.ascontiguousarray(burned_in_factor(m, config.B).conj().T[::-1]) for m in models]
+    lifts = [np.ascontiguousarray(start_factor(m, N, burn_in_factor).conj().T[::-1]) for m in models]
     threads = max(1, min(workers, len(models)))
     free: "queue.SimpleQueue[_Work]" = queue.SimpleQueue()
     for _ in range(threads):
@@ -226,36 +202,39 @@ def _simulate(
             def run(m: int) -> None:
                 work = free.get()
                 try:
-                    keep(m, start, work.drive(models[m], lifts[m], config.N, rows, normals))
+                    keep(m, start, work.drive(models[m], lifts[m], N, rows, normals))
                 finally:
                     free.put(work)
 
             list((pool.map if pool else map)(run, range(len(models))))
 
 
-def _check(model: ArpModel, count: int) -> None:
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    if not check_stability(model).stable:
+def _check(models: "Sequence[ArpModel]", N: int, count: int) -> None:
+    if N < 1 or count < 1:
+        raise ValueError(f"N and count must be >= 1, got N = {N}, count = {count}")
+    if not all(check_stability(model).stable for model in models):
         raise UnstableModelError("refusing to simulate an unstable model")
 
 
-def simulate_batch(model: ArpModel, config: SimulationConfig, count: int) -> np.ndarray:
+def simulate_batch(
+    model: ArpModel, N: int, count: int, seed=0, burn_in_factor: int = BURN_IN_FACTOR
+) -> np.ndarray:
     """(count, N) independent realizations; row i uses the derived seed (seed, i)."""
-    _check(model, count)
-    out = np.empty((count, config.N), dtype=np.complex128)
+    _check([model], N, count)
+    out = np.empty((count, N), dtype=np.complex128)
 
     def keep(_, start, block):
         out[start : start + block.shape[0]] = block
 
-    _simulate([model], config, count, keep)
+    _simulate([model], N, count, seed, burn_in_factor, keep)
     return out
 
 
 def simulate_max_gains(
-    models: "Sequence[ArpModel]", config: SimulationConfig, count: int, workers: int = 1
+    models: "Sequence[ArpModel]", N: int, count: int, seed=0,
+    burn_in_factor: int = BURN_IN_FACTOR, workers: int = 1,
 ) -> np.ndarray:
-    """(len(models), count): row m is ``max_gain(simulate_batch(models[m], config, count))``.
+    """(len(models), count): row m is ``max_gain(simulate_batch(models[m], N, count, ...))``.
 
     Every model is driven by the same row normals (common random numbers),
     drawn once: row i's from the derived seed (seed, i), as in
@@ -268,11 +247,10 @@ def simulate_max_gains(
     """
     if not models:
         raise ValueError("need at least one model")
-    lengths = {max(config.N, m.p) for m in models}
+    lengths = {max(N, m.p) for m in models}
     if len(lengths) > 1:
         raise ValueError(f"models must share the row length max(N, p), got {sorted(lengths)}")
-    for model in models:
-        _check(model, count)
+    _check(models, N, count)
     gains = np.empty((len(models), count))
 
     def keep(m, start, block):
@@ -286,57 +264,12 @@ def simulate_max_gains(
             rows = block[first : first + _DRAW_ROWS]
             gains[m, start + first : start + first + rows.shape[0]] = max_gain(rows)
 
-    _simulate(models, config, count, keep, workers)
+    _simulate(models, N, count, seed, burn_in_factor, keep, workers)
     return gains
 
 
-def burned_in_factor(model: ArpModel, B: int) -> np.ndarray:
-    """Upper-triangular F with F^H F the covariance of the burned-in lifted state.
-
-    The state is [g_{B+p}, ..., g_{B+1}] (newest first) of the recursion run
-    B + p steps from zeros: a ``simulate_batch`` row at N = p,
-    reversed.  It is linear in the innovations, g_{B+p-a} = sum_m
-    h_{m-a} eps_{B+p-m} with h the impulse response, so its law is
-    CN(0, sigma_eps2 H H^H) where row a of the p x (B+p) matrix H is h
-    shifted right by a.  F = sqrt(sigma_eps2) R with R the triangular factor
-    of H^H, which is PSD by construction.  Row m of H^H is the conjugated
-    lifted impulse state [h_m, ..., h_{m-p+1}].
-
-    R starts as row 0, (h_0, 0, ..., 0) with h_0 = 1, and the rows from 1 on
-    are folded in _FACTOR_ROWS at a time, each block QR-factored under the R
-    so far, so memory does not grow with B.  Each block's responses come
-    from one compiled banded solve (``ztbsv``): a unit lower-triangular
-    system whose first p rows carry the previous p responses and whose row
-    i >= p reads h_i - sum_d alpha_d h_{i-d} = 0.  The start and the block
-    boundaries are fixed, not tuning: each QR's Householder steps set the
-    signs of R's rows, so another start or block size gives a factor of the
-    same law whose rows differ in sign, and every realization drawn through
-    it would change.
-    """
-    if B < 0:
-        raise ValueError(f"B must be >= 0, got {B}")
-    p = model.p
-    # lower band storage: band[d, j] is the system's entry (j + d, j)
-    band = np.zeros((p + 1, p + _FACTOR_ROWS), dtype=np.complex128, order="F")
-    for d in range(1, p + 1):
-        band[d, p - d :] = -model.alpha[d - 1]
-    # the p responses before each block, oldest first, then the block's own
-    h = np.zeros(p + _FACTOR_ROWS, dtype=np.complex128)
-    h[p - 1] = 1.0
-    r = np.eye(1, p, dtype=np.complex128)
-    for start in range(1, B + p, _FACTOR_ROWS):
-        rows = min(_FACTOR_ROWS, B + p - start)
-        n = p + rows
-        h[p:n] = 0.0
-        h[:n] = blas.ztbsv(p, band[:, :n], h[:n], lower=1, diag=1)
-        block = sliding_window_view(h[1:n], p)[:, ::-1].conj()
-        r = np.triu(lapack.zgeqrf(np.vstack((r, block)), overwrite_a=1)[0][:p])
-        h[:p] = h[rows:n]
-    return np.sqrt(model.sigma_eps2) * r
-
-
 def burned_in_states(factor: np.ndarray, count: int, seed) -> np.ndarray:
-    """(count, p) lifted states drawn from CN(0, F^H F), F = ``burned_in_factor``.
+    """(count, p) lifted states drawn from CN(0, F^H F), F a ``start_factor``.
 
     One (count, p) block of standard complex normals from ``seed``, times
     conj(F): each row e F-bar is the row form of the column F^H e.

@@ -47,7 +47,7 @@ UNIFORM_STRATEGIES = ("uniform_endpoints", "uniform_interior")
 _ANCHOR_GAP = 4
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ObservationSet:
     """Observed port indices (1-based, strictly increasing), values, and noise variance.
 
@@ -83,7 +83,7 @@ class ObservationSet:
         return int(self.indices.size)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReconstructionResult:
     """Per-port posterior means and variances plus the unobserved-set NMSE.
 

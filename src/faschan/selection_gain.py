@@ -6,8 +6,8 @@ swarm propagates the lifted state, multiplies weights by the indicator of
 |g_k|^2 <= t, estimates each conditional factor as the weighted survivor
 mass, and accumulates the product in log domain.  Systematic resampling
 keeps the swarm effective when truncation kills most particles.  The swarm
-starts from the lifted state after the generator's burn-in, drawn from that
-state's exact law, so no warm-up path is simulated.  Each threshold is one
+starts from the generator's start law (``arfit.start_factor``), drawn
+exactly, so no warm-up path is simulated.  Each threshold is one
 independent run from its own derived seed, so ``smc_cdf`` may run them on
 any executor: the ``cdf`` command passes the pool it shares with its Monte
 Carlo columns.
@@ -36,12 +36,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arfit import ArpModel, check_stability
+from .arfit import BURN_IN_FACTOR, ArpModel, check_stability, start_factor
 from .errors import UnstableModelError
-from .generator import burned_in_factor, burned_in_states
-# no longer called here, but kept importable under this name:
-# benchmarks/test_harness.py checks that the tracer wraps it here too
-from .generator import simulate_batch  # noqa: F401
+# simulate_batch is no longer called here, but kept importable under this
+# name: benchmarks/test_harness.py checks that the tracer wraps it here too
+from .generator import burned_in_states, simulate_batch  # noqa: F401
 from .rng import complex_standard_normal, derive, make_rng
 from .stats import isotonic_non_decreasing
 
@@ -52,7 +51,7 @@ _RESAMPLE_BRANCH = 2
 _RING_SPARE = 8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CdfCurve:
     """CDF estimates on a sorted threshold grid.
 
@@ -118,17 +117,17 @@ def systematic_resample(weights, seed) -> np.ndarray:
 
 
 def _evaluate_threshold(
-    model: ArpModel, N: int, t: float, J: int, ess_ratio: float, seed, start_factor: np.ndarray
+    model: ArpModel, N: int, t: float, J: int, ess_ratio: float, seed, factor: np.ndarray
 ) -> "tuple[float, int]":
     """Survival probability estimate for one threshold, plus extinction step (-1 if none).
 
-    ``start_factor`` is the ``burned_in_factor`` of the starting law.  The
+    ``factor`` is the ``start_factor`` of the starting law.  The
     swarm's states are the window ring[:, head : head + p] of a newest-first
     ring, with ``states[:, j]`` holding g_{k-j} at port k; its weights form a
     simplex over the J particles while any survive.
     """
     p = model.p
-    start = burned_in_states(start_factor, J, derive(seed, _WARMUP_BRANCH))
+    start = burned_in_states(factor, J, derive(seed, _WARMUP_BRANCH))
     # allocated once the draw's temporaries are freed, so that the ring adds
     # no peak memory over a lone (J, p) state matrix
     ring = np.empty((J, p + _RING_SPARE), dtype=np.complex128)
@@ -184,7 +183,7 @@ def smc_cdf(
     J: int,
     ess_ratio: float = 0.5,
     seed=0,
-    burn_in_factor: int = 5,
+    burn_in_factor: int = BURN_IN_FACTOR,
     pool: "Executor | None" = None,
 ) -> CdfCurve:
     """Particle estimate of the selection-gain CDF on a threshold grid.
@@ -194,9 +193,9 @@ def smc_cdf(
     not depend on the pool; the ``cdf`` command passes the one it shares
     with its other stages).  Each run draws its swarm's lifted
     state at port p, [g_p, ..., g_1], from the exact law of the generator's
-    first p kept ports after a burn-in of ``burn_in_factor * N`` ports
-    (``burned_in_factor``, factored once per call), then applies the first
-    p indicator constraints before propagating ports p+1..N.  Raw per-threshold estimates can be
+    first p ports (``start_factor(model, N, burn_in_factor)``, factored once
+    per call), then applies the first p indicator constraints before
+    propagating ports p+1..N.  Raw per-threshold estimates can be
     locally non-monotone, so the returned values are their isotonic
     projection; extinct swarms yield an exact 0 with the extinction port
     recorded.
@@ -207,17 +206,13 @@ def smc_cdf(
         raise ValueError(f"ess_ratio must be in (0, 1], got {ess_ratio}")
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
-    if burn_in_factor < 0:
-        raise ValueError(f"burn_in_factor must be >= 0, got {burn_in_factor}")
     if not check_stability(model).stable:
         raise UnstableModelError("refusing to run the particle evaluator on an unstable model")
     t = _validate_thresholds(thresholds)
-    start_factor = burned_in_factor(model, burn_in_factor * N)
+    factor = start_factor(model, N, burn_in_factor)
 
     def run(idx: int) -> "tuple[float, int]":
-        return _evaluate_threshold(
-            model, N, float(t[idx]), J, ess_ratio, derive(seed, idx), start_factor
-        )
+        return _evaluate_threshold(model, N, float(t[idx]), J, ess_ratio, derive(seed, idx), factor)
 
     results = list(pool.map(run, range(t.size))) if pool is not None else [run(i) for i in range(t.size)]
     raw = np.array([r[0] for r in results])

@@ -122,7 +122,7 @@ def impulse_response_lags(model: ArpModel, N: int, steps: int) -> np.ndarray:
 
 
 def burned_in_factor_loop(model: ArpModel, B: int, block: int = 256) -> np.ndarray:
-    """``generator.burned_in_factor`` computed one impulse-response step at a time.
+    """``arfit.burned_in_factor`` computed one impulse-response step at a time.
 
     The float64 per-step reference for the factor's values and row signs:
     the same row-0 start and ``block``-row QR folds, with h from one

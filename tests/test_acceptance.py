@@ -15,7 +15,7 @@ import pytest
 from faschan.arfit import fit_clarke_model, select_order
 from faschan.cli import main as cli_main
 from faschan.correlation import ClarkeModel, build_covariance, eigen_spectrum, sample_exact
-from faschan.generator import SimulationConfig, simulate_batch
+from faschan.generator import simulate_batch
 from faschan.interpolation import (
     ObservationSet,
     dense_mmse,
@@ -53,16 +53,14 @@ def flagship_reference(flagship):
     return max_gain(sample_exact(spectrum, derive(SEED, 500), MC_SAMPLES))
 
 
-def candidate_gains(model, p, seed, mc=MC_SAMPLES, burn_in_factor=5):
-    fitted = fit_clarke_model(model, p)
-    config = SimulationConfig(N=model.N, B=burn_in_factor * model.N, seed=seed)
-    return max_gain(simulate_batch(fitted, config, mc))
+def candidate_gains(model, p, seed, mc=MC_SAMPLES):
+    return max_gain(simulate_batch(fit_clarke_model(model, p), model.N, mc, seed))
 
 
 def test_c1_order_selection_reproduction(flagship):
     started = time.perf_counter()
     result = select_order(
-        flagship, p_max=40, mc_samples=MC_SAMPLES, burn_in_factor=5, seed=SEED, workers=WORKERS
+        flagship, p_max=40, mc_samples=MC_SAMPLES, seed=SEED, workers=WORKERS
     )
     elapsed = time.perf_counter() - started
     d_star = result.distances[result.p_star]
@@ -100,8 +98,8 @@ def test_c2_order_trend(flagship, flagship_reference):
 def test_c3_particle_consistency(flagship, flagship_reference):
     fitted = fit_clarke_model(flagship, 37)
     grid = np.quantile(flagship_reference, (np.arange(40) + 0.5) / 40)
-    config = SimulationConfig(N=flagship.N, B=5 * flagship.N, seed=derive(SEED, 502))
-    direct = empirical_cdf_max_gain(max_gain(simulate_batch(fitted, config, MC_SAMPLES)), grid)
+    direct_gains = max_gain(simulate_batch(fitted, flagship.N, MC_SAMPLES, derive(SEED, 502)))
+    direct = empirical_cdf_max_gain(direct_gains, grid)
     gaps = {}
     with ThreadPoolExecutor(max_workers=WORKERS) as pool:
         for j in (1_000, 10_000):

@@ -21,7 +21,7 @@ from faschan.arfit import (
 from faschan.correlation import ClarkeModel, clarke_autocorrelation, sample_exact
 from faschan.errors import UnstableModelError
 from faschan.correlation import CHUNK_ROWS
-from faschan.generator import SimulationConfig, simulate_max_gains
+from faschan.generator import simulate_max_gains
 from faschan.rng import derive, make_rng
 from faschan.stats import ks_distance, max_gain
 
@@ -235,10 +235,10 @@ class TestSelectOrder:
         model, seed, mc = ClarkeModel(W=1.0, N=20), 6, CHUNK_ROWS + 3
         result = select_order(model, p_max=3, mc_samples=mc, seed=seed)
         reference = max_gain(sample_exact(model.spectrum, derive(seed, _REF_BRANCH), mc))
-        config = SimulationConfig(N=model.N, B=5 * model.N, seed=derive(seed, _CANDIDATE_BRANCH))
+        candidates = derive(seed, _CANDIDATE_BRANCH)
         assert set(result.distances) == {1, 2, 3}
         for p, distance in result.distances.items():
-            gains = simulate_max_gains([fit_clarke_model(model, p)], config, mc)[0]
+            gains = simulate_max_gains([fit_clarke_model(model, p)], model.N, mc, candidates)[0]
             assert distance == ks_distance(reference, gains)
 
     def test_peak_memory_independent_of_mc(self):

@@ -14,7 +14,7 @@ from faschan import arfit, correlation, generator
 from faschan.arfit import fit_clarke_model
 from faschan.cli import main, max_workers
 from faschan.correlation import CHUNK_ROWS, ClarkeModel, build_covariance, eigen_spectrum, sample_exact
-from faschan.generator import SimulationConfig, simulate_batch
+from faschan.generator import simulate_batch
 from faschan.interpolation import (
     ObservationSet,
     dense_mmse,
@@ -188,8 +188,7 @@ class TestCdf:
             max_gain(sample_exact(eigen_spectrum(build_covariance(model)), derive(seed, 0), mc)), grid
         )
         for p in (1, 2):
-            config = SimulationConfig(N=model.N, B=5 * model.N, seed=derive(seed, 1, p))
-            batch = simulate_batch(fit_clarke_model(model, p), config, mc)
+            batch = simulate_batch(fit_clarke_model(model, p), model.N, mc, derive(seed, 1, p))
             direct = empirical_cdf_max_gain(max_gain(batch), grid)
             block = rows[rows[:, 0] == p]
             np.testing.assert_array_equal(block[:, 2], exact.values)
@@ -488,6 +487,14 @@ class TestBound:
             # the two ways to give the observed count are alternatives
             (["bench", "--W", "2", "--N", "30", "--p", "3", "--M", "5", "--ratio", "0.5", "--trials", "1",
               "--strategies", "random"], "--M and --ratio"),
+            # so are a fixed order and a selected one, and the two threshold grids
+            (["fit", "--W", "2", "--N", "30", "--p", "3", "--p-max", "6"], "--p and --p-max"),
+            (["interpolate", "--W", "2", "--N", "30", "--p", "3", "--p-max", "6", "--M", "6",
+              "--strategy", "uniform_endpoints"], "--p and --p-max"),
+            (["bound", "--W", "2", "--N", "30", "--p", "3", "--p-max", "6", "--eps", "0.1"],
+             "--p and --p-max"),
+            (["cdf", "--W", "2", "--N", "30", "--p", "3", "--t-grid", "0.5:4:3", "--t-quantile-grid", "7"],
+             "--t-grid and --t-quantile-grid"),
             # a repeated entry of a list that keys seeds would repeat its rows
             (["cdf", "--W", "2", "--N", "30", "--p", "3,3", "--mc", "1000", "--J", "100",
               "--t-quantile-grid", "2"], "--p"),
@@ -497,8 +504,8 @@ class TestBound:
     def test_bad_eps_or_trials_rejected_before_sampling(self, argv, flag, monkeypatch, capsys):
         # a target outside [0, 1], an empty Monte Carlo round, an observation
         # fraction outside (0, 1], an observed port count outside what the
-        # strategies accept, both --M and --ratio, or a repeated seed-keying
-        # entry fails before any fit, spectrum or draw
+        # strategies accept, two alternatives given together, or a repeated
+        # seed-keying entry fails before any fit, spectrum or draw
         def unexpected(*args, **kwargs):
             raise AssertionError("sampled before the flags were checked")
 
@@ -615,7 +622,7 @@ class TestConfigFile:
         )
         assert code == 0
         fitted = fit_clarke_model(ClarkeModel(W=2.0, N=6), 2)
-        row = simulate_batch(fitted, SimulationConfig(N=6, B=0, seed=4), 1)[0]
+        row = simulate_batch(fitted, 6, 1, seed=4, burn_in_factor=0)[0]
         lines = out.read_text().splitlines()[1:]
         values = np.array([[float(v) for v in line.split(",")[2:]] for line in lines])
         np.testing.assert_array_equal(values[:, 0] + 1j * values[:, 1], row)
@@ -656,6 +663,31 @@ class TestConfigFile:
         error = json.loads(err)
         assert error["type"] == "ValueError"
         assert "--" + key.replace("_", "-") in error["error"]
+
+    @pytest.mark.parametrize(
+        "argv, values, flags",
+        [
+            (["fit", "--W", "2", "--N", "30", "--p", "3"], {"p_max": 6}, "--p and --p-max"),
+            (["fit", "--W", "2", "--N", "30"], {"p": 3, "p_max": 6}, "--p and --p-max"),
+            (["cdf", "--W", "2", "--N", "30", "--p", "3", "--t-grid", "0.5:4:3"], {"t_quantile_grid": 7},
+             "--t-grid and --t-quantile-grid"),
+            (["bench", "--W", "2", "--N", "30", "--p", "3", "--M", "5"], {"ratio": 0.5}, "--M and --ratio"),
+        ],
+    )
+    def test_alternatives_given_through_config_rejected(
+        self, argv, values, flags, monkeypatch, capsys, tmp_path
+    ):
+        # a config value counts as given, as a flag does; a default does not
+        def unexpected(*args, **kwargs):
+            raise AssertionError("fitted before the flags were checked")
+
+        monkeypatch.setattr(arfit, "fit_clarke_model", unexpected)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(values))
+        code, out, err = run_cli([*argv, "--config", str(config), "--no-meta"], capsys)
+        assert code == 2
+        assert out == ""
+        assert flags in json.loads(err)["error"]
 
     def test_unknown_config_key_rejected(self, capsys, tmp_path):
         config = tmp_path / "config.json"

@@ -132,14 +132,12 @@ class TestBuildCovariance:
 
     def test_rejects_bad_first_row(self):
         with pytest.raises(ValueError):
-            ToeplitzCovariance(first_row=np.array([0.0, 0.1]), N=2)
-        with pytest.raises(ValueError):
-            ToeplitzCovariance(first_row=np.array([1.0, 0.1]), N=3)
+            ToeplitzCovariance(first_row=np.array([0.0, 0.1]))
 
 
 class TestEigenSpectrum:
     def test_identity_covariance(self):
-        cov = ToeplitzCovariance(first_row=np.array([2.0, 0, 0, 0]), N=4)
+        cov = ToeplitzCovariance(first_row=np.array([2.0, 0, 0, 0]))
         spec = eigen_spectrum(cov)
         np.testing.assert_allclose(spec.eigenvalues, 2.0, atol=1e-14)
 
@@ -171,7 +169,7 @@ class TestEigenSpectrum:
         # brute-force characteristic polynomial oracle on a complex 5x5 case
         rng = np.random.default_rng(7)
         row = np.concatenate([[2.5], 0.3 * (rng.standard_normal(4) + 1j * rng.standard_normal(4))])
-        cov = ToeplitzCovariance(first_row=row, N=5)
+        cov = ToeplitzCovariance(first_row=row)
         matrix = cov.matrix()
         poly = sympy.Matrix(np.round(matrix, 12)).charpoly()
         roots = np.sort(np.array([complex(r) for r in sympy.nroots(poly.as_expr(), n=30)]).real)[::-1]
@@ -193,7 +191,7 @@ class TestEigenSpectrum:
 
     def test_warns_on_indefinite_input(self):
         row = np.array([1.0, 0.999, 0.0, -0.999])
-        cov = ToeplitzCovariance(first_row=row, N=4)
+        cov = ToeplitzCovariance(first_row=row)
         with pytest.warns(RuntimeWarning):
             eigen_spectrum(cov)
 

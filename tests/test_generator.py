@@ -1,3 +1,4 @@
+import inspect
 import os
 import pickle
 import subprocess
@@ -8,19 +9,26 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from faschan.arfit import ArpModel, arp_induced_covariance, fit_clarke_model
+from faschan import cli
+from faschan.arfit import (
+    BURN_IN_FACTOR,
+    ArpModel,
+    arp_induced_covariance,
+    fit_clarke_model,
+    select_order,
+    start_factor,
+)
 from faschan.correlation import ClarkeModel
 from faschan.errors import UnstableModelError
 from faschan.generator import (
     _CHUNK_ROWS,
     _DRAW_ROWS,
-    SimulationConfig,
     _Work,
-    burned_in_factor,
     simulate_batch,
     simulate_max_gains,
 )
 from faschan.rng import complex_standard_normal, derive, make_rng
+from faschan.selection_gain import smc_cdf
 from faschan.stats import max_gain
 
 from conftest import impulse_response, make_consistent_model
@@ -36,23 +44,24 @@ def lag_estimate(batch, lag):
 class TestSimulate:
     def test_memoryless_case_variance(self):
         white = ArpModel(alpha=np.array([0.0 + 0j]), sigma_eps2=0.7)
-        sample = simulate_batch(white, SimulationConfig(N=100_000, B=10, seed=1), 1)[0]
+        sample = simulate_batch(white, 100_000, 1, seed=1, burn_in_factor=0)[0]
         assert np.mean(np.abs(sample) ** 2) == pytest.approx(0.7, rel=0.05)
         assert abs(np.mean(sample)) < 3 * np.sqrt(0.7 / sample.size)
 
-    @pytest.mark.parametrize("B, N", [(0, 5), (1, 5), (2, 2), (50, 6)])
-    def test_kept_block_follows_the_burned_in_law(self, complex_root_model, B, N):
-        # the kept block is ports B+1..B+N of the recursion from zeros: port
-        # B+1+a = sum_j h_{B+1+a-j} eps_j, so its law is CN(0, sigma_eps2 H H^H)
-        # with H the N x (B+N) shifted impulse response; N=2 < p covers a
-        # block cut from the start state alone
-        model, count = complex_root_model, 20_000
+    @pytest.mark.parametrize("burn, N", [(0, 5), (1, 1), (1, 2), (8, 6)])
+    def test_kept_block_follows_the_burned_in_law(self, complex_root_model, burn, N):
+        # the kept block is ports B+1..B+N of the recursion from zeros, B =
+        # burn * N: port B+1+a = sum_j h_{B+1+a-j} eps_j, so its law is
+        # CN(0, sigma_eps2 H H^H) with H the N x (B+N) shifted impulse
+        # response; N = 1, 2 < p cover a block cut from the start state alone,
+        # after a burn-in shorter than p
+        model, count, B = complex_root_model, 20_000, burn * N
         h = impulse_response(model, B + N)
         H = np.zeros((N, B + N), dtype=np.clongdouble)
         for a in range(N):
             H[a, : B + 1 + a] = h[B + a :: -1]
         oracle = (np.clongdouble(model.sigma_eps2) * (H @ H.conj().T)).astype(complex)
-        batch = simulate_batch(model, SimulationConfig(N=N, B=B, seed=(66, B, N)), count)
+        batch = simulate_batch(model, N, count, seed=(66, B, N), burn_in_factor=burn)
         sample = batch.T @ batch.conj() / count
         # circular Gaussian: Var(x_a conj(x_b)) = Sigma_aa Sigma_bb
         d = np.real(np.diag(oracle))
@@ -62,7 +71,7 @@ class TestSimulate:
     def test_unstable_refused(self):
         bad = ArpModel(alpha=np.array([1.5 + 0j]), sigma_eps2=1.0)
         with pytest.raises(UnstableModelError):
-            simulate_batch(bad, SimulationConfig(N=10, B=0, seed=0), 1)
+            simulate_batch(bad, 10, 1, burn_in_factor=0)
 
     def test_burn_in_sufficiency(self):
         # two-run comparison oracle: doubling the burn-in leaves the law unchanged
@@ -71,11 +80,45 @@ class TestSimulate:
         count = 20_000
         lag_errs = []
         for factor in (5, 10):
-            batch = simulate_batch(model, SimulationConfig(N=30, B=factor * 30, seed=(61, factor)), count)
+            batch = simulate_batch(model, 30, count, seed=(61, factor), burn_in_factor=factor)
             errs = [abs(lag_estimate(batch, lag) - lags[lag]) for lag in range(model.p + 1)]
             lag_errs.append(max(errs))
         mc_scale = 3.0 / np.sqrt(count)
         assert abs(lag_errs[0] - lag_errs[1]) < mc_scale
+
+
+class TestStartLaw:
+    # arfit.start_factor is the one owner of the start law: every sampler
+    # starts its rows from it, and every default burn-in is BURN_IN_FACTOR
+
+    @pytest.mark.parametrize("burn", [0, None], ids=["zero", "default"])
+    def test_first_ports_are_the_start_factor_on_the_first_normals(self, complex_root_model, burn):
+        model, N, seed, count = complex_root_model, 12, (18, 1), 5
+        if burn is None:
+            batch, factor = simulate_batch(model, N, count, seed), start_factor(model, N)
+            assert np.array_equal(factor, start_factor(model, N, BURN_IN_FACTOR))
+        else:
+            batch, factor = simulate_batch(model, N, count, seed, burn), start_factor(model, N, burn)
+        # F^H e is [g_{B+p}, ..., g_{B+1}]; its rows reversed give ports 1..p in order
+        lift = np.ascontiguousarray(factor.conj().T[::-1])
+        for row in range(count):
+            normals = complex_standard_normal(make_rng(derive(seed, row)), N)
+            np.testing.assert_array_equal(batch[row, : model.p], lift @ normals[: model.p])
+
+    def test_one_default_burn_in(self):
+        for sampler in (start_factor, simulate_batch, simulate_max_gains, smc_cdf, select_order):
+            assert inspect.signature(sampler).parameters["burn_in_factor"].default == BURN_IN_FACTOR
+        args = cli.build_parser().parse_args(["generate", "--W", "2", "--N", "6", "--p", "2", "--count", "1"])
+        cli._resolve(args)
+        assert args.burn == BURN_IN_FACTOR
+
+    def test_negative_burn_in_rejected(self, complex_root_model):
+        for draw in (
+            lambda: simulate_batch(complex_root_model, 6, 1, burn_in_factor=-1),
+            lambda: simulate_max_gains([complex_root_model], 6, 1, burn_in_factor=-1),
+        ):
+            with pytest.raises(ValueError, match="burn_in_factor"):
+                draw()
 
 
 # g_k = eps_k with sigma_eps2 = 1 and a start factor of exactly 1: every
@@ -92,18 +135,17 @@ class TestRowStreams:
         ids=repr,
     )
     def test_lone_row_reads_its_derived_stream(self, seed):
-        got = simulate_batch(WHITE, SimulationConfig(N=9, B=4, seed=seed), 1)[0]
+        got = simulate_batch(WHITE, 9, 1, seed, burn_in_factor=1)[0]
         np.testing.assert_array_equal(got, complex_standard_normal(make_rng(derive(seed, 0)), 9))
 
     @pytest.mark.parametrize("seed", [6, (2**32 + 1, 7), (9, 2**64 + 5, 0, 2**40), tuple(range(11))], ids=repr)
     def test_batch_rows_read_their_derived_streams(self, seed):
-        config = SimulationConfig(N=6, B=3, seed=seed)
-        count = _CHUNK_ROWS + 3
-        batch = simulate_batch(WHITE, config, count)
-        gains = simulate_max_gains([WHITE, WHITE], config, count)
+        N, count = 6, _CHUNK_ROWS + 3
+        batch = simulate_batch(WHITE, N, count, seed, burn_in_factor=1)
+        gains = simulate_max_gains([WHITE, WHITE], N, count, seed, burn_in_factor=1)
         # both sides of a _DRAW_ROWS boundary and of a chunk boundary
         for row in (0, _DRAW_ROWS - 1, _DRAW_ROWS, _CHUNK_ROWS - 1, _CHUNK_ROWS, count - 1):
-            normals = complex_standard_normal(make_rng(derive(seed, row)), config.N)
+            normals = complex_standard_normal(make_rng(derive(seed, row)), N)
             np.testing.assert_array_equal(batch[row], normals)
             np.testing.assert_array_equal(gains[:, row], max_gain(normals[None, :])[0])
 
@@ -150,12 +192,12 @@ def row_error(got, exact):
     return float(np.max(diff / np.abs(exact).astype(float).max(axis=-1)))
 
 
-def drive_alone(model, config, row):
+def drive_alone(model, N, seed, burn, row):
     """Row ``row`` of a batch, driven as a one-row chunk from its own derived normals."""
-    length = max(config.N, model.p)
-    lift = np.ascontiguousarray(burned_in_factor(model, config.B).conj().T[::-1])
-    normals = complex_standard_normal(make_rng(derive(config.seed, row)), length)
-    block = _Work(length, 1).drive(model, lift, config.N, 1, lambda first, scratch: normals[None, :])
+    length = max(N, model.p)
+    lift = np.ascontiguousarray(start_factor(model, N, burn).conj().T[::-1])
+    normals = complex_standard_normal(make_rng(derive(seed, row)), length)
+    block = _Work(length, 1).drive(model, lift, N, 1, lambda first, scratch: normals[None, :])
     return block[0].copy(), normals
 
 
@@ -173,20 +215,20 @@ class TestRowInvariance:
     @pytest.fixture(params=["production_fit", "complex_root"])
     def case(self, request, complex_root_model, w5_fits):
         if request.param == "production_fit":
-            return w5_fits[37], (w5_fits[10], w5_fits[20]), 200, 1000
+            return w5_fits[37], (w5_fits[10], w5_fits[20]), 200, 5
         others = tuple(make_consistent_model(p, seed=(15, p), max_mod=0.8) for p in (1, 5))
-        return complex_root_model, others, 40, 20
+        return complex_root_model, others, 40, 1
 
     @pytest.mark.parametrize("count", [1, 2, 7, _CHUNK_ROWS + 1, _CHUNK_ROWS + 3])
     def test_rows_equal_the_row_driven_alone(self, case, count):
-        model, (first, last), N, B = case
-        config = SimulationConfig(N=N, B=B, seed=(14, count))
-        batch = simulate_batch(model, config, count)
-        gains = simulate_max_gains([first, model, last], config, count)[1]
+        model, (first, last), N, burn = case
+        seed = (14, count)
+        batch = simulate_batch(model, N, count, seed, burn)
+        gains = simulate_max_gains([first, model, last], N, count, seed, burn)[1]
         # both sides of every chunk boundary; at _CHUNK_ROWS + 1 the last
         # chunk is one row, at _CHUNK_ROWS + 3 a short one
         for row in range(count) if count <= 7 else (0, _CHUNK_ROWS - 1, _CHUNK_ROWS, count - 1):
-            alone, normals = drive_alone(model, config, row)
+            alone, normals = drive_alone(model, N, seed, burn, row)
             np.testing.assert_array_equal(batch[row], alone)
             np.testing.assert_array_equal(gains[row], max_gain(alone[None, :])[0])
             # a step whose write were lost would leave the row its innovations
@@ -199,10 +241,9 @@ class TestRowInvariance:
         # error of the fixed-order reference
         rows = 512
         for p, model in w5_fits.items():
-            config = SimulationConfig(N=200, B=1000, seed=(16, p))
-            batch = simulate_batch(model, config, rows)
+            batch = simulate_batch(model, 200, rows, seed=(16, p))
             normals = np.stack(
-                [complex_standard_normal(make_rng(derive(config.seed, r)), config.N) for r in range(rows)]
+                [complex_standard_normal(make_rng(derive((16, p), r)), 200) for r in range(rows)]
             )
             exact = extended_recursion(model, batch, normals)
             reference = row_error(recursion_reference(model, batch, normals), exact)
@@ -212,13 +253,12 @@ class TestRowInvariance:
 # hashes one batch and one three-model max-gain call of the pickled fits
 HASH_SCRIPT = """
 import hashlib, pickle, sys
-from faschan.generator import _CHUNK_ROWS, SimulationConfig, simulate_batch, simulate_max_gains
+from faschan.generator import _CHUNK_ROWS, simulate_batch, simulate_max_gains
 with open(sys.argv[1], "rb") as fh:
     models = pickle.load(fh)
-config = SimulationConfig(N=200, B=1000, seed=17)
 count = _CHUNK_ROWS + 3
-print(hashlib.sha256(simulate_batch(models[-1], config, count).tobytes()).hexdigest())
-print(hashlib.sha256(simulate_max_gains(models, config, count).tobytes()).hexdigest())
+print(hashlib.sha256(simulate_batch(models[-1], 200, count, seed=17).tobytes()).hexdigest())
+print(hashlib.sha256(simulate_max_gains(models, 200, count, seed=17).tobytes()).hexdigest())
 """
 
 
@@ -252,12 +292,12 @@ class TestSimulateBatch:
         # production fit (p=37) has a dense start factor, whose product a
         # shared gemm would round differently from a lone row's
         if case == "toy":
-            model, N, B = make_consistent_model(1, roots=[0.3]), 25, 10
+            model, N, burn = make_consistent_model(1, roots=[0.3]), 25, 1
         else:
-            model, N, B = w5_fits[37], 200, 1000
+            model, N, burn = w5_fits[37], 200, 5
         p, seed = model.p, 6
         # F^H e is [g_{B+p}, ..., g_{B+1}]; its rows reversed give ports 1..p in order
-        lift = np.ascontiguousarray(burned_in_factor(model, B).conj().T[::-1])
+        lift = np.ascontiguousarray(start_factor(model, N, burn).conj().T[::-1])
         # a lone chunk, then rows on both sides of a chunk boundary, including
         # a short last chunk and a last chunk of one row
         for count, rows in (
@@ -265,22 +305,20 @@ class TestSimulateBatch:
             (_CHUNK_ROWS + 1, (0, _CHUNK_ROWS - 1, _CHUNK_ROWS)),
             (_CHUNK_ROWS + 3, (0, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 2)),
         ):
-            config = SimulationConfig(N=N, B=B, seed=seed)
-            batch = simulate_batch(model, config, count)
+            batch = simulate_batch(model, N, count, seed, burn)
             for row in rows:
-                alone, normals = drive_alone(model, config, row)
+                alone, normals = drive_alone(model, N, seed, burn, row)
                 np.testing.assert_array_equal(batch[row, :p], lift @ normals[:p])
                 np.testing.assert_array_equal(batch[row], alone)
 
     def test_working_memory_independent_of_count(self):
         # beyond its own output, a batch holds one chunk's buffers whatever its size
         model = make_consistent_model(1, roots=[0.3])
-        config = SimulationConfig(N=8, B=8, seed=3)
         extra = []
         for count in (2 * _CHUNK_ROWS, 4 * _CHUNK_ROWS):
             tracemalloc.start()
             try:
-                batch = simulate_batch(model, config, count)
+                batch = simulate_batch(model, 8, count, seed=3, burn_in_factor=1)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -289,9 +327,9 @@ class TestSimulateBatch:
 
     def test_deterministic(self):
         model = make_consistent_model(1, roots=[0.4])
-        config = SimulationConfig(N=20, B=10, seed=2)
         np.testing.assert_array_equal(
-            simulate_batch(model, config, 7), simulate_batch(model, config, 7)
+            simulate_batch(model, 20, 7, seed=2, burn_in_factor=1),
+            simulate_batch(model, 20, 7, seed=2, burn_in_factor=1),
         )
 
     def test_lag_matching_within_three_percent(self):
@@ -299,7 +337,7 @@ class TestSimulateBatch:
         # relative comparison is well-posed
         model = make_consistent_model(2, roots=[0.85, 0.7])
         lags = arp_induced_covariance(model, model.p + 1).first_row
-        batch = simulate_batch(model, SimulationConfig(N=60, B=300, seed=77), 50_000)
+        batch = simulate_batch(model, 60, 50_000, seed=77)
         for lag in range(model.p + 1):
             est = lag_estimate(batch, lag)
             target = lags[lag]
@@ -307,7 +345,7 @@ class TestSimulateBatch:
 
     def test_zero_mean_after_burn_in(self):
         model = make_consistent_model(4, seed=(62, 0), max_mod=0.7)
-        batch = simulate_batch(model, SimulationConfig(N=50, B=250, seed=8), 4000)
+        batch = simulate_batch(model, 50, 4000, seed=8)
         row_means = batch.mean(axis=1)
         sem = np.std(row_means) / np.sqrt(row_means.size)
         assert abs(np.mean(row_means)) < 3 * sem
@@ -318,7 +356,7 @@ class TestSimulateBatch:
         lags = arp_induced_covariance(model, model.p + 1).first_row
 
         def worst_err(count, seed):
-            batch = simulate_batch(model, SimulationConfig(N=40, B=200, seed=seed), count)
+            batch = simulate_batch(model, 40, count, seed)
             return max(
                 abs(lag_estimate(batch, lag) - lags[lag]) for lag in range(model.p + 1)
             )
@@ -330,7 +368,7 @@ class TestSimulateBatch:
     def test_count_validated(self):
         model = make_consistent_model(1, roots=[0.2])
         with pytest.raises(ValueError):
-            simulate_batch(model, SimulationConfig(N=5, B=0, seed=0), 0)
+            simulate_batch(model, 5, 0, burn_in_factor=0)
 
 
 # a last chunk of one row and a short last chunk
@@ -340,10 +378,10 @@ BOUNDARY_COUNTS = [_CHUNK_ROWS + 1, _CHUNK_ROWS + 3]
 class TestSimulateMaxGains:
     def test_bit_identical_to_reducing_the_batch(self):
         model = make_consistent_model(3, seed=(67, 0), max_mod=0.8)
-        config = SimulationConfig(N=12, B=24, seed=5)
         for count in BOUNDARY_COUNTS:
             np.testing.assert_array_equal(
-                simulate_max_gains([model], config, count)[0], max_gain(simulate_batch(model, config, count))
+                simulate_max_gains([model], 12, count, seed=5, burn_in_factor=2)[0],
+                max_gain(simulate_batch(model, 12, count, seed=5, burn_in_factor=2)),
             )
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -351,23 +389,22 @@ class TestSimulateMaxGains:
         # common random numbers: every model reads the same row normals, so
         # sharing a call changes no model's bits, across a chunk boundary too
         models = [make_consistent_model(p, seed=(68, p), max_mod=0.8) for p in (1, 3, 5)]
-        config = SimulationConfig(N=12, B=24, seed=7)
         for count in BOUNDARY_COUNTS:
-            gains = simulate_max_gains(models, config, count, workers=workers)
+            gains = simulate_max_gains(models, 12, count, seed=7, burn_in_factor=2, workers=workers)
             assert gains.shape == (len(models), count)
             for model, row in zip(models, gains):
-                np.testing.assert_array_equal(row, simulate_max_gains([model], config, count)[0])
+                alone = simulate_max_gains([model], 12, count, seed=7, burn_in_factor=2)[0]
+                np.testing.assert_array_equal(row, alone)
 
     def test_threads_share_no_buffers(self):
         # more threads than cores and a short switch interval: a buffer used by
         # two threads at once, or a lost write, would change some model's gains
         models = [make_consistent_model(p, seed=(70, p), max_mod=0.8) for p in (1, 2, 3, 4, 5, 6)]
-        config = SimulationConfig(N=10, B=20, seed=8)
-        serial = simulate_max_gains(models, config, 600)
+        serial = simulate_max_gains(models, 10, 600, seed=8, burn_in_factor=2)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threaded = simulate_max_gains(models, config, 600, workers=5)
+            threaded = simulate_max_gains(models, 10, 600, seed=8, burn_in_factor=2, workers=5)
         finally:
             sys.setswitchinterval(interval)
         np.testing.assert_array_equal(threaded, serial)
@@ -376,20 +413,19 @@ class TestSimulateMaxGains:
         # rows of max(N, p) = 3 and 5 normals share no bits
         short, long = (make_consistent_model(p, seed=(69, p), max_mod=0.8) for p in (2, 5))
         with pytest.raises(ValueError, match="row length"):
-            simulate_max_gains([short, long], SimulationConfig(N=3, B=6, seed=1), 10)
+            simulate_max_gains([short, long], 3, 10, seed=1, burn_in_factor=2)
         with pytest.raises(ValueError):
-            simulate_max_gains([], SimulationConfig(N=3, B=6, seed=1), 10)
-        assert simulate_max_gains([short, short], SimulationConfig(N=3, B=6, seed=1), 10).shape == (2, 10)
+            simulate_max_gains([], 3, 10, seed=1, burn_in_factor=2)
+        assert simulate_max_gains([short, short], 3, 10, seed=1, burn_in_factor=2).shape == (2, 10)
 
     def test_working_memory_independent_of_count(self):
         # only the (count,) gains outlive each chunk
         model = make_consistent_model(1, roots=[0.3])
-        config = SimulationConfig(N=8, B=8, seed=3)
         extra = []
         for count in (2 * _CHUNK_ROWS, 4 * _CHUNK_ROWS):
             tracemalloc.start()
             try:
-                gains = simulate_max_gains([model], config, count)
+                gains = simulate_max_gains([model], 8, count, seed=3, burn_in_factor=1)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()

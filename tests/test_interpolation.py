@@ -96,7 +96,7 @@ class TestDenseMmse:
         assert np.abs(result.means - truth).max() <= 1e-4 * np.abs(truth).max()
 
     def test_white_channel_no_correlation_to_exploit(self):
-        cov = ToeplitzCovariance(first_row=np.concatenate([[1.0], np.zeros(9)]), N=10)
+        cov = ToeplitzCovariance(first_row=np.concatenate([[1.0], np.zeros(9)]))
         values = np.array([1 + 1j, -2.0 + 0j, 0.5j])
         obs = ObservationSet(indices=np.array([2, 5, 9]), values=values, noise_var=0.0)
         result = dense_mmse(cov, obs)

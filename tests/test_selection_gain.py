@@ -5,11 +5,18 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from faschan import generator, selection_gain
-from faschan.arfit import ArpModel, arp_induced_covariance, check_stability, fit_clarke_model
+from faschan import arfit, selection_gain
+from faschan.arfit import (
+    ArpModel,
+    arp_induced_covariance,
+    burned_in_factor,
+    check_stability,
+    fit_clarke_model,
+    start_factor,
+)
 from faschan.correlation import ClarkeModel, build_covariance, eigen_spectrum, sample_exact
 from faschan.errors import UnstableModelError
-from faschan.generator import SimulationConfig, burned_in_factor, burned_in_states, simulate_batch
+from faschan.generator import burned_in_states, simulate_batch
 from faschan.rng import complex_standard_normal, derive, make_rng
 from faschan.selection_gain import empirical_cdf_max_gain, smc_cdf, systematic_resample
 from faschan.stats import isotonic_non_decreasing, max_gain
@@ -147,7 +154,7 @@ class TestSmcCdf:
     def test_matches_direct_simulation(self, small_model):
         # three-sigma Monte-Carlo agreement band on a small array
         N = 30
-        direct = simulate_batch(small_model, SimulationConfig(N=N, B=150, seed=31), 10_000)
+        direct = simulate_batch(small_model, N, 10_000, seed=31)
         gains = max_gain(direct)
         grid = np.quantile(gains, np.linspace(0.05, 0.95, 15))
         reference = empirical_cdf_max_gain(gains, grid)
@@ -181,8 +188,8 @@ class TestSmcCdf:
     def test_negative_burn_in_rejected(self, small_model):
         with pytest.raises(ValueError, match="burn_in_factor"):
             smc_cdf(small_model, N=10, thresholds=[1.0], J=200, seed=0, burn_in_factor=-1)
-        with pytest.raises(ValueError):
-            burned_in_factor(small_model, -1)
+        with pytest.raises(ValueError, match="burn_in_factor"):
+            start_factor(small_model, 10, -1)
         # zero burn-in is a valid start: the first p ports from zeros
         curve = smc_cdf(small_model, N=10, thresholds=[1.0], J=200, seed=0, burn_in_factor=0)
         assert 0.0 <= curve.values[0] <= 1.0
@@ -232,7 +239,7 @@ class TestBurnedInLaw:
 
     def test_order_above_the_block_size(self, monkeypatch):
         # p = 10 responses carried into 8-row blocks
-        monkeypatch.setattr(generator, "_FACTOR_ROWS", 8)
+        monkeypatch.setattr(arfit, "_FACTOR_ROWS", 8)
         model = make_consistent_model(10, seed=5, max_mod=0.9)
         for B in (0, 3, 50):
             factor = burned_in_factor(model, B)
@@ -298,7 +305,7 @@ class TestRingBuffer:
 
     @staticmethod
     def compare(model, N, t, J, monkeypatch, seed=(73, 1)):
-        factor = burned_in_factor(model, 5 * N)
+        factor = start_factor(model, N)
         resamples = []
         resample = selection_gain.systematic_resample
         monkeypatch.setattr(
